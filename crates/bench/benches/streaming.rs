@@ -5,6 +5,15 @@
 //! per-push cost across window sizes, plus the ablation the incremental
 //! engine justifies: O(M) incremental update vs recomputing the spectrum
 //! from scratch each push.
+//!
+//! A detector spends its samples in three states, each with its own cost:
+//! warming up (the first `N + M` samples after creation), locked, and
+//! searching (after every sample, scanning the complete delays for a zero).
+//! `streaming/push` mixes warmup and lock on a clean stream;
+//! `streaming/warmup` times warmup alone, and `streaming/push_locked` and
+//! `streaming/push_searching` an already-warm detector on a clean address
+//! loop and on one whose insertions keep it searching, as a wide window
+//! over a real address trace does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpd_core::incremental::{EngineConfig, IncrementalEngine};
@@ -31,6 +40,90 @@ fn bench_push_per_window(c: &mut Criterion) {
                     }
                 }
                 starts
+            })
+        });
+    }
+    g.finish();
+}
+
+/// Address-like event stream: a loop over `period` distinct 64-byte-aligned
+/// addresses, with one extra address inserted at `per_mille` of every
+/// thousand positions (seeded LCG). Every insertion breaks the exact match
+/// for the next `N + period` samples, so at 1 per mille and wide windows
+/// the detector is searching almost always.
+fn addresses(period: usize, len: usize, per_mille: u64, seed: u64) -> Vec<i64> {
+    let mut state = seed;
+    let mut next = 0usize;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            if (state >> 33) % 1000 < per_mille {
+                0x7f00_0000 + ((state >> 40) % 64) as i64 * 0x40
+            } else {
+                next += 1;
+                0x40_0000 + (next % period) as i64 * 0x40
+            }
+        })
+        .collect()
+}
+
+/// Samples timed per iteration of the pre-warmed groups, at every window:
+/// about eight insertions at 1 per mille.
+const PREWARMED_LEN: usize = 8192;
+
+/// A detector already past its `N + M` warmup, fed `PREWARMED_LEN` more
+/// address samples per iteration.
+fn bench_push_prewarmed(c: &mut Criterion, group: &str, per_mille: u64) {
+    let mut g = c.benchmark_group(group);
+    for &n in &[16usize, 64, 256, 1024] {
+        let data = addresses(7, 2 * n + PREWARMED_LEN, per_mille, 0x5eed);
+        let (prefix, timed) = data.split_at(2 * n);
+        let mut warm = DpdBuilder::new().window(n).build_detector().unwrap();
+        warm.push_slice(prefix);
+        g.throughput(Throughput::Elements(timed.len() as u64));
+        g.bench_with_input(BenchmarkId::new("window", n), &n, |b, _| {
+            b.iter(|| {
+                // The clone copies one history buffer; pushing the timed
+                // samples costs thousands of times more.
+                let mut dpd = warm.clone();
+                let mut starts = 0u64;
+                for &s in timed {
+                    if dpd.push(black_box(s)).as_return_value() != 0 {
+                        starts += 1;
+                    }
+                }
+                starts
+            })
+        });
+    }
+    g.finish();
+}
+
+fn bench_push_locked_per_window(c: &mut Criterion) {
+    // A clean loop: the detector stays locked on period 7.
+    bench_push_prewarmed(c, "streaming/push_locked", 0);
+}
+
+fn bench_push_searching_per_window(c: &mut Criterion) {
+    // Apps-like insertions keep wide windows searching.
+    bench_push_prewarmed(c, "streaming/push_searching", 1);
+}
+
+fn bench_warmup_per_window(c: &mut Criterion) {
+    // A fresh detector fed exactly its N + M warmup samples.
+    let mut g = c.benchmark_group("streaming/warmup");
+    for &n in &[16usize, 64, 256, 1024] {
+        let data = addresses(7, 2 * n, 1, 0x5eed);
+        g.throughput(Throughput::Elements(data.len() as u64));
+        g.bench_with_input(BenchmarkId::new("window", n), &n, |b, &n| {
+            b.iter(|| {
+                let mut dpd = DpdBuilder::new().window(n).build_detector().unwrap();
+                for &s in &data {
+                    dpd.push(black_box(s));
+                }
+                dpd.locked_period()
             })
         });
     }
@@ -143,6 +236,9 @@ fn bench_incremental_vs_scratch(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_push_per_window,
+    bench_push_locked_per_window,
+    bench_push_searching_per_window,
+    bench_warmup_per_window,
     bench_push_slice_per_window,
     bench_engine_batch_vs_single,
     bench_capi_replay,

@@ -15,22 +15,37 @@
 //!
 //! History lives in a [`MirroredHistory`]: every sample is stored twice so
 //! the trailing `N + M + k` samples are always one contiguous slice — no
-//! modulo indexing, no wraparound branch. `push` splits into two paths:
+//! modulo indexing, no wraparound branch. The sums are stored in
+//! **descending delay order** (slot `M - m` holds delay `m`), the order in
+//! which the delayed samples `x[t-M], …, x[t-1]` sit in history. Every
+//! per-sample pass over the delays is then one forward, branch-free loop
+//! over zipped slices, which LLVM auto-vectorizes:
 //!
-//! * a branchy **warmup** path while some delay still lacks a full frame of
-//!   pairs (the first `N + M` samples after construction or reset), and
-//! * a branch-free **steady-state** path in which *every* delay gains one
-//!   incoming pair and sheds one outgoing pair. The per-delay update then
-//!   reads two reverse-contiguous slices of history and accumulates into the
-//!   flat `sums` array — a pure streaming kernel that LLVM auto-vectorizes.
+//! * **steady state** (once `N + M` samples are retained): every delay
+//!   gains one incoming pair and sheds one outgoing pair — one loop over
+//!   `sums` zipped with two history slices;
+//! * **warmup** (the first `N + M` samples after construction, reset or a
+//!   reconfigure): after `t` retained samples, the incoming pair exists
+//!   for delays `m <= min(t-1, M)` and an outgoing pair for
+//!   `m <= min(t-1-N, M)` — two range loops over contiguous runs of slots;
+//! * **the zero test** ([`IncrementalEngine::first_zero`], equation (2)
+//!   after every sample): the complete delays `1..=min(len-N, M)` are the
+//!   last slots, scanned from delay 1 upwards 16 at a time with a
+//!   branch-free compare per chunk.
+//!
+//! No per-delay pair counts are stored: delay `m` over `len` retained
+//! samples always holds `min(len - m, N)` pairs, which is all
+//! [`IncrementalEngine::is_complete`], [`IncrementalEngine::distance`] and
+//! [`IncrementalEngine::spectrum`] need.
 //!
 //! [`IncrementalEngine::push_slice`] feeds whole slices: warmup samples go
 //! through the per-sample path, after which samples are ingested in
 //! cache-sized blocks (history written first, then one fused pass per block)
 //! amortizing per-push bookkeeping. Block processing preserves the exact
 //! per-accumulator floating-point operation order of sample-by-sample
-//! `push`, so batch and per-sample ingestion produce **bit-identical**
-//! spectra — a property the test suite checks with property tests.
+//! `push` (`+= incoming`, then `-= outgoing`, in stream order), so batch and
+//! per-sample ingestion produce **bit-identical** spectra — a property the
+//! test suite checks with property tests.
 //!
 //! For the event metric the pair contributions are exact small integers, so
 //! the running sums never drift. For the floating-point L1 metric the engine
@@ -48,6 +63,9 @@ use crate::window::MirroredHistory;
 /// (history slice of `N + M + BLOCK` samples plus the `M`-entry sums array)
 /// stays cache-resident for the window sizes the paper uses (`N <= 1024`).
 const STEADY_BLOCK: usize = 64;
+
+/// Delays per chunk of the [`IncrementalEngine::first_zero`] scan.
+const ZERO_SCAN: usize = 16;
 
 /// Configuration of an [`IncrementalEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +110,23 @@ impl EngineConfig {
     }
 }
 
+/// Pairs summed for delay `m` over `len` retained samples with frame `n`:
+/// each sample at least `m` steps younger than the oldest forms one, up to
+/// a full frame.
+#[inline]
+fn pair_count(len: usize, m: usize, n: usize) -> usize {
+    len.saturating_sub(m).min(n)
+}
+
+/// Bit `i` set when `chunk[i] == 0.0`: one vector compare per chunk.
+#[inline]
+fn zero_mask(chunk: &[f64; ZERO_SCAN]) -> u32 {
+    chunk
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &s)| mask | (u32::from(s == 0.0) << i))
+}
+
 /// O(M)-per-sample sliding computation of `d(m)` for all `m <= M`.
 #[derive(Debug, Clone)]
 pub struct IncrementalEngine<T, M: Metric<T>> {
@@ -99,10 +134,9 @@ pub struct IncrementalEngine<T, M: Metric<T>> {
     config: EngineConfig,
     /// Last `N + M + STEADY_BLOCK` samples, mirrored for contiguous reads.
     history: MirroredHistory<T>,
-    /// Running pair-sums, indexed by `m - 1`.
+    /// Running pair-sums in descending delay order: slot `M - m` holds
+    /// delay `m`.
     sums: Vec<f64>,
-    /// Number of pairs currently contributing to each sum.
-    pairs: Vec<u32>,
     /// Total samples pushed.
     pushed: u64,
 }
@@ -115,7 +149,6 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
             metric,
             history: MirroredHistory::new(config.history_capacity()),
             sums: vec![0.0; config.m_max],
-            pairs: vec![0; config.m_max],
             config,
             pushed: 0,
         })
@@ -153,6 +186,22 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         self.history.len() >= self.warmup_len()
     }
 
+    /// Pairs currently summed for delay `m` (`1 <= m <= M`).
+    #[inline]
+    fn pairs(&self, m: usize) -> usize {
+        pair_count(self.history.len(), m, self.config.frame)
+    }
+
+    /// Number of complete delays: exactly `1..=complete_delays()` hold a
+    /// full frame of `N` pairs.
+    #[inline]
+    fn complete_delays(&self) -> usize {
+        self.history
+            .len()
+            .saturating_sub(self.config.frame)
+            .min(self.config.m_max)
+    }
+
     /// Push one sample, updating every `d(m)` in O(M).
     #[inline]
     pub fn push(&mut self, sample: T) {
@@ -173,7 +222,7 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     pub fn push_slice(&mut self, samples: &[T]) {
         let mut rest = samples;
 
-        // Warmup: per-sample branchy path until every delay is complete.
+        // Warmup: per-sample range loops until every delay is complete.
         while !rest.is_empty() && !self.next_push_is_steady() {
             self.warm_push(rest[0]);
             self.maybe_resync();
@@ -201,38 +250,50 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         }
     }
 
-    /// Warmup-path push: some delays may still be missing pairs, so every
-    /// delay carries two data-dependent branches. Mirrors the definition
-    /// exactly; runs for the first `N + M` samples after construction,
-    /// [`IncrementalEngine::reset`] or a shrinking reconfigure.
+    /// Warmup-path push, for the first `N + M` samples after construction,
+    /// [`IncrementalEngine::reset`] or a reconfigure. With `t` samples
+    /// retained after the push, the incoming pair `(x[t], x[t-m])` exists
+    /// for `m <= min(t-1, M)` and the outgoing pair `(x[t-N], x[t-N-m])`
+    /// for `m <= min(t-1-N, M)`, the delays whose frame was already full.
+    /// Both are contiguous runs of slots, so each is one forward loop;
+    /// every accumulator still sees `+= incoming` before `-= outgoing`.
     fn warm_push(&mut self, sample: T) {
         let n = self.config.frame;
         let m_max = self.config.m_max;
         self.history.push(sample);
         self.pushed += 1;
         let h = self.history.as_slice();
-        let t = h.len(); // retained samples; h[t - 1] is the newest
-        let newest = h[t - 1];
+        let newest = h.len() - 1; // index of x[t]; x[t-m] is h[newest - m]
+        let metric = &self.metric;
 
-        for m in 1..=m_max {
-            // Incoming pair (x[t], x[t-m]): ages 0 and m.
-            if t > m {
-                self.sums[m - 1] += self.metric.pair(newest, h[t - 1 - m]);
-                self.pairs[m - 1] += 1;
-                // Outgoing pair (x[t-N], x[t-N-m]): ages N and N+m.
-                if self.pairs[m - 1] as usize > n {
-                    self.sums[m - 1] -= self.metric.pair(h[t - 1 - n], h[t - 1 - n - m]);
-                    self.pairs[m - 1] = n as u32;
-                }
+        let k_in = newest.min(m_max);
+        let cur = h[newest];
+        for (s, &d) in self.sums[m_max - k_in..]
+            .iter_mut()
+            .zip(&h[newest - k_in..newest])
+        {
+            *s += metric.pair(cur, d);
+        }
+
+        if let Some(out) = newest.checked_sub(n) {
+            // h[out] is x[t-N]; x[t-N-m] is h[out - m].
+            let k_out = out.min(m_max);
+            let out_cur = h[out];
+            for (s, &d) in self.sums[m_max - k_out..]
+                .iter_mut()
+                .zip(&h[out - k_out..out])
+            {
+                *s -= metric.pair(out_cur, d);
             }
         }
     }
 
     /// Steady-state spectrum update for the trailing `block` samples already
     /// written to history. For each sample the per-delay work is a pure
-    /// streaming kernel: broadcast the incoming/outgoing anchors, read the
-    /// two reverse-contiguous history slices, accumulate into `sums`. No
-    /// branches, no modulo — auto-vectorizable.
+    /// streaming kernel: broadcast the incoming/outgoing anchors, zip the
+    /// sums forward with the two history slices holding `x[t-M..t-1]` and
+    /// `x[t-N-M..t-N-1]`, accumulate. No branches, no modulo —
+    /// auto-vectorizable.
     ///
     /// Per accumulator the operation order is identical to sample-by-sample
     /// ingestion (`+= incoming` then `-= outgoing`, in stream order), so
@@ -241,20 +302,16 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         let n = self.config.frame;
         let m_max = self.config.m_max;
         let h = self.history.tail(n + m_max + block);
-        let sums = &mut self.sums[..m_max];
         let metric = &self.metric;
         for i in 0..block {
             // Stream indices within `h`: current sample at n + m_max + i.
             let cur = h[n + m_max + i];
             let out_cur = h[m_max + i];
-            // delayed[m_max - m] == x[t - m]; out_delayed[m_max - m] == x[t - N - m].
+            // Slot j holds delay m_max - j: delayed[j] == x[t - m] and
+            // out_delayed[j] == x[t - N - m].
             let delayed = &h[n + i..n + m_max + i];
             let out_delayed = &h[i..m_max + i];
-            for ((s, &d_in), &d_out) in sums
-                .iter_mut()
-                .zip(delayed.iter().rev())
-                .zip(out_delayed.iter().rev())
-            {
+            for ((s, &d_in), &d_out) in self.sums.iter_mut().zip(delayed).zip(out_delayed) {
                 *s += metric.pair(cur, d_in);
                 *s -= metric.pair(out_cur, d_out);
             }
@@ -274,66 +331,73 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     /// floating-point drift for inexact metrics; a no-op semantically.
     pub fn resync(&mut self) {
         let n = self.config.frame;
+        let m_max = self.config.m_max;
         let h = self.history.as_slice();
         let avail = h.len();
-        for m in 1..=self.config.m_max {
-            // Pairs exist for current ages 0..N-1 provided age+m < avail.
+        for m in 1..=m_max {
+            // Pairs exist for current ages 0..pairs.
             let mut sum = 0.0;
-            let mut count = 0u32;
-            for age in 0..n.min(avail) {
-                if age + m < avail {
-                    sum += self.metric.pair(h[avail - 1 - age], h[avail - 1 - age - m]);
-                    count += 1;
-                }
+            for age in 0..pair_count(avail, m, n) {
+                sum += self.metric.pair(h[avail - 1 - age], h[avail - 1 - age - m]);
             }
-            self.sums[m - 1] = sum;
-            self.pairs[m - 1] = count;
+            self.sums[m_max - m] = sum;
         }
     }
 
     /// Current `d(m)`; `None` for out-of-range `m` or when no pairs exist.
     pub fn distance(&self, m: usize) -> Option<f64> {
-        if m == 0 || m > self.config.m_max {
-            return None;
-        }
-        let pairs = self.pairs[m - 1] as usize;
-        if pairs == 0 {
-            return None;
-        }
-        Some(self.metric.finalize(self.sums[m - 1], pairs))
+        let sum = self.pair_sum(m)?;
+        let pairs = self.pairs(m);
+        (pairs > 0).then(|| self.metric.finalize(sum, pairs))
     }
 
     /// `true` when delay `m` currently has a full frame of `N` pairs.
     pub fn is_complete(&self, m: usize) -> bool {
-        m >= 1 && m <= self.config.m_max && self.pairs[m - 1] as usize == self.config.frame
+        (1..=self.complete_delays()).contains(&m)
     }
 
     /// Raw pair-sum at delay `m` (mismatch count for event metrics).
     pub fn pair_sum(&self, m: usize) -> Option<f64> {
-        if m == 0 || m > self.config.m_max {
-            None
-        } else {
-            Some(self.sums[m - 1])
-        }
+        (1..=self.config.m_max)
+            .contains(&m)
+            .then(|| self.sums[self.config.m_max - m])
     }
 
     /// Snapshot the current spectrum.
     pub fn spectrum(&self) -> Spectrum {
-        let values: Vec<f64> = (1..=self.config.m_max)
+        let m_max = self.config.m_max;
+        let (values, pairs) = (1..=m_max)
             .map(|m| {
-                let p = self.pairs[m - 1] as usize;
-                self.metric.finalize(self.sums[m - 1], p)
+                let p = self.pairs(m);
+                (self.metric.finalize(self.sums[m_max - m], p), p as u32)
             })
-            .collect();
-        Spectrum::from_parts(values, self.pairs.clone(), self.config.frame)
+            .unzip();
+        Spectrum::from_parts(values, pairs, self.config.frame)
     }
 
     /// Smallest delay whose full-frame distance is exactly zero, if any.
     ///
     /// For the event metric this is the paper's equation-(2) detection: "if
     /// d(m) = 0, then a periodic pattern with dimension m is detected".
+    /// Only the complete delays `1..=min(len - N, M)` qualify; they are the
+    /// last slots of `sums`, scanned from delay 1 upwards in chunks of 16
+    /// whose zero test is one branch-free compare.
     pub fn first_zero(&self) -> Option<usize> {
-        (1..=self.config.m_max).find(|&m| self.is_complete(m) && self.sums[m - 1] == 0.0)
+        let complete = &self.sums[self.config.m_max - self.complete_delays()..];
+        // complete[j] holds delay complete.len() - j.
+        let (head, chunks) = complete.as_rchunks::<ZERO_SCAN>();
+        for (c, chunk) in chunks.iter().rev().enumerate() {
+            let mask = zero_mask(chunk);
+            if mask != 0 {
+                // chunk[i] holds delay ZERO_SCAN * (c + 1) - i; the highest
+                // set bit is the smallest delay.
+                let i = (u32::BITS - 1 - mask.leading_zeros()) as usize;
+                return Some(ZERO_SCAN * (c + 1) - i);
+            }
+        }
+        head.iter()
+            .rposition(|&s| s == 0.0)
+            .map(|j| complete.len() - j)
     }
 
     /// Reconfigure frame size and maximum delay, preserving as much history
@@ -342,8 +406,7 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         config.validate()?;
         self.config = config;
         self.history.resize(config.history_capacity());
-        self.sums = vec![0.0; config.m_max];
-        self.pairs = vec![0; config.m_max];
+        self.sums.resize(config.m_max, 0.0);
         self.resync();
         Ok(())
     }
@@ -351,8 +414,7 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     /// Forget all history and sums (e.g. after a detected phase change).
     pub fn reset(&mut self) {
         self.history.clear();
-        self.sums.iter_mut().for_each(|s| *s = 0.0);
-        self.pairs.iter_mut().for_each(|p| *p = 0);
+        self.sums.fill(0.0);
     }
 
     /// Return to the exact as-constructed state — including the lifetime
@@ -386,33 +448,33 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     }
 
     /// Serialize the engine state (not the configuration — the caller owns
-    /// that) into `w`. `put` encodes one sample of `T`.
-    pub(crate) fn snapshot_state(
-        &self,
-        w: &mut SnapshotWriter,
-        put: &impl Fn(&mut SnapshotWriter, T),
-    ) {
+    /// that) into `w`. `put` encodes one sample of `T`. The sums are
+    /// written in ascending delay order, followed by each delay's pair
+    /// count as a varint.
+    pub fn snapshot_state(&self, w: &mut SnapshotWriter, put: &impl Fn(&mut SnapshotWriter, T)) {
         w.u64(self.pushed);
-        let hist = self.history.to_vec();
+        let hist = self.history.as_slice();
         w.u64(hist.len() as u64);
-        for &s in &hist {
+        for &s in hist {
             put(w, s);
         }
         w.u64(self.history.pushed());
         w.u64(self.sums.len() as u64);
-        for &s in &self.sums {
+        for &s in self.sums.iter().rev() {
             w.f64(s);
         }
-        for &p in &self.pairs {
-            w.u64(u64::from(p));
+        for m in 1..=self.config.m_max {
+            w.u64(self.pairs(m) as u64);
         }
     }
 
-    /// Rebuild an engine from serialized state under a known-valid
-    /// configuration. The running sums are restored verbatim — **never**
-    /// re-derived via [`IncrementalEngine::resync`], which could differ from
-    /// the incrementally-maintained values in the last ulp.
-    pub(crate) fn restore_state<'a>(
+    /// Rebuild an engine from [`IncrementalEngine::snapshot_state`] bytes
+    /// under a known-valid configuration. The running sums are restored
+    /// verbatim — **never** re-derived via [`IncrementalEngine::resync`],
+    /// which could differ from the incrementally-maintained values in the
+    /// last ulp. Pair counts that disagree with the restored history are
+    /// [`SnapshotError::Malformed`].
+    pub fn restore_state<'a>(
         metric: M,
         config: EngineConfig,
         r: &mut SnapshotReader<'a>,
@@ -438,17 +500,15 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
                 what: "sums length disagrees with configured max delay",
             });
         }
-        for s in engine.sums.iter_mut() {
+        for s in engine.sums.iter_mut().rev() {
             *s = r.f64()?;
         }
-        for p in engine.pairs.iter_mut() {
-            let v = r.u64()?;
-            if v > u64::from(u32::MAX) {
+        for m in 1..=m_max {
+            if r.u64()? != engine.pairs(m) as u64 {
                 return Err(SnapshotError::Malformed {
-                    what: "pair count overflows 32 bits",
+                    what: "pair count disagrees with the retained history",
                 });
             }
-            *p = v as u32;
         }
         engine.pushed = pushed;
         Ok(engine)

@@ -224,14 +224,17 @@ impl TableConfig {
 }
 
 /// Heap bytes behind one hot slot's `Box`: the detector's mirrored history
-/// (`2 * (window + m_max + 64)` samples), its per-delay sums and pair
-/// counts, fixed struct overhead, and the forecaster's ring + pending +
-/// scratch when a horizon is configured.
+/// (`2 * (window + m_max + 64)` samples), its per-delay sums, fixed struct
+/// overhead, and the forecaster's ring + pending + scratch when a horizon
+/// is configured.
 fn hot_heap_bytes(config: &TableConfig) -> u64 {
     let n = config.detector.window as u64;
     let m = config.detector.m_max as u64;
     let history = 2 * (n + m + 64) * 8;
-    let engine = m * 12; // f64 sum + u32 pair count per candidate delay
+    // 12 B per candidate delay: the 8 B f64 sum plus 4 B of headroom. The
+    // budget's eviction mix is tuned against this price; charging 8 B
+    // would change which streams a given budget keeps hot.
+    let engine = m * 12;
     let fixed = std::mem::size_of::<HotState>() as u64 + 128;
     let predictor = if config.forecast_horizon > 0 {
         let h = config.forecast_horizon as u64;

@@ -20,7 +20,9 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Start sampling `usage` every `period` until stopped.
+    /// Start sampling `usage` every `period` until stopped. The first
+    /// sample is taken at once, so [`Sampler::stop`] always returns at
+    /// least one.
     pub fn start(usage: Arc<CpuUsage>, period: Duration) -> Self {
         assert!(!period.is_zero(), "sampling period must be non-zero");
         let stop = Arc::new(AtomicBool::new(false));
@@ -31,9 +33,13 @@ impl Sampler {
                 let mut samples = Vec::new();
                 let start = Instant::now();
                 let mut tick = 0u64;
-                while !stop2.load(Ordering::Acquire) {
+                // Sample first, then look at the flag.
+                loop {
                     samples.push(usage.active() as f64);
                     tick += 1;
+                    if stop2.load(Ordering::Acquire) {
+                        break;
+                    }
                     // Absolute-deadline pacing avoids cumulative drift.
                     let deadline = start + period * tick as u32;
                     let now = Instant::now();

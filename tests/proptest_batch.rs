@@ -9,7 +9,7 @@
 //! both metrics, with and without the `resync_interval` drift-bound path.
 
 use dpd::core::incremental::{EngineConfig, IncrementalEngine};
-use dpd::core::metric::{EventMetric, L1Metric, Metric};
+use dpd::core::metric::{EventMetric, L1Metric, Metric, MismatchFraction};
 use dpd::core::pipeline::DpdBuilder;
 use dpd::core::streaming::{SegmentEvent, StreamingDpd};
 use proptest::prelude::*;
@@ -256,5 +256,141 @@ proptest! {
         }
         prop_assert_eq!(got, expected);
         prop_assert_eq!(batch.detected_periods(), single.detected_periods());
+    }
+}
+
+/// The engine's update rule in its per-delay form, kept as a reference for
+/// the forward-slice kernels: sums in ascending delay order, an explicit
+/// pair count per delay, a warmup step with two data-dependent branches per
+/// delay, and a steady step that walks the delayed history newest-first.
+/// History is never trimmed; only the trailing `N + M` samples are read.
+struct PerDelayEngine<T, M> {
+    metric: M,
+    frame: usize,
+    m_max: usize,
+    resync_interval: u64,
+    history: Vec<T>,
+    sums: Vec<f64>,
+    pairs: Vec<u32>,
+    pushed: u64,
+}
+
+impl<T: Copy, M: Metric<T>> PerDelayEngine<T, M> {
+    fn new(metric: M, cfg: EngineConfig) -> Self {
+        PerDelayEngine {
+            metric,
+            frame: cfg.frame,
+            m_max: cfg.m_max,
+            resync_interval: cfg.resync_interval,
+            history: Vec::new(),
+            sums: vec![0.0; cfg.m_max],
+            pairs: vec![0; cfg.m_max],
+            pushed: 0,
+        }
+    }
+
+    fn push(&mut self, sample: T) {
+        let (n, m_max) = (self.frame, self.m_max);
+        let steady = self.history.len() >= n + m_max;
+        self.history.push(sample);
+        self.pushed += 1;
+        let h = &self.history;
+        let t = h.len();
+        let newest = h[t - 1];
+        if steady {
+            let out_cur = h[t - 1 - n];
+            for m in 1..=m_max {
+                self.sums[m - 1] += self.metric.pair(newest, h[t - 1 - m]);
+                self.sums[m - 1] -= self.metric.pair(out_cur, h[t - 1 - n - m]);
+            }
+        } else {
+            for m in 1..=m_max {
+                if t > m {
+                    self.sums[m - 1] += self.metric.pair(newest, h[t - 1 - m]);
+                    self.pairs[m - 1] += 1;
+                    if self.pairs[m - 1] as usize > n {
+                        self.sums[m - 1] -= self.metric.pair(h[t - 1 - n], h[t - 1 - n - m]);
+                        self.pairs[m - 1] = n as u32;
+                    }
+                }
+            }
+        }
+        if self.resync_interval > 0 && self.pushed.is_multiple_of(self.resync_interval) {
+            self.resync();
+        }
+    }
+
+    fn resync(&mut self) {
+        let h = &self.history;
+        let avail = h.len();
+        for m in 1..=self.m_max {
+            let mut sum = 0.0;
+            let mut count = 0u32;
+            for age in 0..self.frame.min(avail) {
+                if age + m < avail {
+                    sum += self.metric.pair(h[avail - 1 - age], h[avail - 1 - age - m]);
+                    count += 1;
+                }
+            }
+            self.sums[m - 1] = sum;
+            self.pairs[m - 1] = count;
+        }
+    }
+}
+
+/// Push `data` into the engine and the per-delay reference one sample at a
+/// time; after every push each delay's raw sum must match to the bit and
+/// its completeness must match the reference's pair count.
+fn assert_matches_per_delay<T, M>(metric: M, cfg: EngineConfig, data: &[T])
+where
+    T: Copy,
+    M: Metric<T>,
+{
+    let mut engine = IncrementalEngine::new(metric.clone(), cfg).unwrap();
+    let mut reference = PerDelayEngine::new(metric, cfg);
+    for (t, &s) in data.iter().enumerate() {
+        engine.push(s);
+        reference.push(s);
+        for m in 1..=cfg.m_max {
+            assert_eq!(
+                engine.pair_sum(m).map(f64::to_bits),
+                Some(reference.sums[m - 1].to_bits()),
+                "t={t} m={m}"
+            );
+            assert_eq!(
+                engine.is_complete(m),
+                reference.pairs[m - 1] as usize == cfg.frame,
+                "t={t} m={m}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// L1 over magnitudes, with resyncs at arbitrary intervals: the warmup
+    /// and steady loops of the engine reproduce the per-delay update to the
+    /// bit after every push.
+    #[test]
+    fn engine_l1_matches_per_delay_update(
+        data in collection::vec(-100.0f64..100.0, 1..300),
+        n in 1usize..48,
+        m_extra in 0usize..24,
+        resync in 0u64..90,
+    ) {
+        let m_max = n.saturating_sub(m_extra).max(1);
+        let cfg = EngineConfig { frame: n, m_max, resync_interval: resync };
+        assert_matches_per_delay(L1Metric, cfg, &data);
+    }
+
+    /// Mismatch fraction over event streams.
+    #[test]
+    fn engine_mismatch_fraction_matches_per_delay_update(
+        data in collection::vec(0i64..5, 1..300),
+        n in 1usize..48,
+        m_extra in 0usize..24,
+    ) {
+        let m_max = n.saturating_sub(m_extra).max(1);
+        let cfg = EngineConfig { frame: n, m_max, resync_interval: 0 };
+        assert_matches_per_delay(MismatchFraction, cfg, &data);
     }
 }

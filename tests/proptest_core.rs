@@ -4,9 +4,38 @@ use dpd::core::incremental::{EngineConfig, IncrementalEngine};
 use dpd::core::metric::{direct_distance, EventMetric, L1Metric, Metric};
 use dpd::core::pipeline::DpdBuilder;
 use dpd::core::prediction::PeriodicPredictor;
+use dpd::core::snapshot::{SnapshotReader, SnapshotWriter};
 use dpd::core::spectrum::Spectrum;
 use dpd::trace::{io, EventTrace, SampledTrace};
 use proptest::prelude::*;
+
+/// Compare every observable of `e` with the direct definition over `seen`,
+/// the samples pushed since the last reset (`direct_distance` reads only the
+/// trailing `N + m` of them).
+fn assert_engine_is_direct(
+    e: &IncrementalEngine<i64, EventMetric>,
+    seen: &[i64],
+    cfg: EngineConfig,
+) {
+    let mut first_zero = None;
+    for m in 1..=cfg.m_max {
+        let direct = direct_distance(&EventMetric, seen, cfg.frame, m);
+        prop_assert_eq!(
+            e.is_complete(m),
+            direct.is_some(),
+            "len={}, m={}",
+            seen.len(),
+            m
+        );
+        if let Some(d) = direct {
+            prop_assert_eq!(e.distance(m), Some(d), "len={}, m={}", seen.len(), m);
+            if d == 0.0 && first_zero.is_none() {
+                first_zero = Some(m);
+            }
+        }
+    }
+    prop_assert_eq!(e.first_zero(), first_zero, "len={}", seen.len());
+}
 
 proptest! {
     /// Soundness of equation (2): over a fully periodic stream, d(m) is
@@ -34,24 +63,74 @@ proptest! {
         }
     }
 
-    /// The incremental engine computes exactly the same distances as the
-    /// direct definition, for arbitrary event streams.
+    /// The incremental engine computes exactly the same distances, complete
+    /// delays and first zero as the direct definition, for arbitrary event
+    /// streams, across a mid-stream snapshot/restore, a reset, a growing
+    /// and a shrinking reconfigure. Windows up to 80 make the first-zero
+    /// scan cross several full 16-delay chunks; the mostly periodic input
+    /// gives it zeros to find.
     #[test]
     fn incremental_equals_direct(
-        data in proptest::collection::vec(0i64..8, 30..200),
-        n in 4usize..24,
-        m_max in 1usize..16,
+        period in 1usize..40,
+        glitches in proptest::collection::vec(0i64..64, 100..420),
+        n in 1usize..81,
+        m_max in 1usize..81,
+        grow in 1usize..30,
+        shrink_pct in 1usize..100,
+        cuts in proptest::collection::vec(0usize..420, 4..5),
     ) {
-        let m_max = m_max.min(n);
-        let cfg = EngineConfig { frame: n, m_max, resync_interval: 0 };
+        // Values repeat with `period`, except where a glitch draw lands
+        // below 3: then the value is off-pattern.
+        let data: Vec<i64> = glitches
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| if g < 3 { 100 + g } else { (i % period) as i64 })
+            .collect();
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % data.len()).collect();
+        cuts.sort_unstable();
+        let mut cfg = EngineConfig { frame: n, m_max: m_max.min(n), resync_interval: 0 };
         let mut e = IncrementalEngine::new(EventMetric, cfg).unwrap();
-        for (t, &s) in data.iter().enumerate() {
-            e.push(s);
-            for m in 1..=m_max {
-                if let Some(direct) = direct_distance(&EventMetric, &data[..=t], n, m) {
-                    prop_assert_eq!(e.distance(m), Some(direct), "t={}, m={}", t, m);
-                }
+        // Samples since the last reset; a reconfigure trims it to what the
+        // engine kept.
+        let mut seen: Vec<i64> = Vec::new();
+        let mut start = 0;
+        for (phase, &cut) in cuts.iter().chain([&data.len()]).enumerate() {
+            for &s in &data[start..cut] {
+                e.push(s);
+                seen.push(s);
+                assert_engine_is_direct(&e, &seen, cfg);
             }
+            start = cut;
+            match phase {
+                0 => {
+                    let mut w = SnapshotWriter::new();
+                    e.snapshot_state(&mut w, &|w, v| w.i64(v));
+                    let bytes = w.into_bytes();
+                    let mut r = SnapshotReader::new(&bytes);
+                    e = IncrementalEngine::restore_state(EventMetric, cfg, &mut r, &|r| r.i64())
+                        .unwrap();
+                    r.finish().unwrap();
+                }
+                1 => {
+                    e.reset();
+                    seen.clear();
+                }
+                2 | 3 => {
+                    cfg = if phase == 2 {
+                        let frame = cfg.frame + grow;
+                        EngineConfig { frame, m_max: (cfg.m_max + grow).min(frame), ..cfg }
+                    } else {
+                        let frame = (cfg.frame * shrink_pct / 100).max(1);
+                        EngineConfig { frame, m_max: cfg.m_max.min(frame), ..cfg }
+                    };
+                    e.reconfigure(cfg).unwrap();
+                    let kept = e.history_vec();
+                    prop_assert_eq!(&kept[..], &seen[seen.len() - kept.len()..]);
+                    seen = kept;
+                }
+                _ => {}
+            }
+            assert_engine_is_direct(&e, &seen, cfg);
         }
     }
 

@@ -1,0 +1,203 @@
+//! Golden snapshot bytes.
+//!
+//! `tests/fixtures/golden/snapshots.hex` holds, one per line as
+//! `name hex`, the snapshot envelopes of an event detector mid-warmup, the
+//! same detector in steady state, and a small forecasting stream table.
+//! The fixture was written once and is never regenerated by an ordinary
+//! test run: every build must produce exactly these bytes from the same
+//! input, restore them, and re-snapshot them byte-identically. Round-trip
+//! tests alone cannot catch an internal engine layout leaking into the
+//! bytes, because writer and reader change together.
+//!
+//! Re-bless only for an intentional format change (which also bumps the
+//! snapshot version):
+//!
+//! ```text
+//! DPD_BLESS=1 cargo test --test snapshot_golden
+//! ```
+
+use dpd::core::metric::EventMetric;
+use dpd::core::pipeline::DpdBuilder;
+use dpd::core::shard::StreamId;
+use dpd::core::snapshot::{Restore, Snapshot, SnapshotError, SnapshotReader, TAG_DETECTOR};
+use dpd::core::streaming::StreamingDpd;
+use std::path::PathBuf;
+
+fn fixture_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden/snapshots.hex")
+}
+
+fn bless() -> bool {
+    std::env::var("DPD_BLESS").is_ok_and(|v| v == "1")
+}
+
+/// Window 16 over delays 1..=12: a non-square configuration, so the
+/// delay-to-slot mapping of the engine is exercised away from `M = N`.
+fn detector_builder() -> DpdBuilder {
+    DpdBuilder::new().window(16).m_max(12)
+}
+
+fn table_builder() -> DpdBuilder {
+    DpdBuilder::new().window(8).forecast(2).keyed()
+}
+
+/// Address-like period-5 stream with one inserted sample at 37.
+fn addresses(len: usize) -> Vec<i64> {
+    let mut out: Vec<i64> = (0..len)
+        .map(|i| 0x4000 + [3, 1, 4, 1, 5][i % 5] * 16)
+        .collect();
+    out.insert(37.min(out.len()), 0x9990);
+    out.truncate(len);
+    out
+}
+
+/// The three fixture envelopes, built from scratch by this build.
+fn generate() -> Vec<(&'static str, Vec<u8>)> {
+    let data = addresses(120);
+    let mut dpd = detector_builder().build_detector().unwrap();
+    // Warmup is N + M = 28 samples: at 20, delays 1..=4 are complete and
+    // 5..=12 are still filling.
+    for &s in &data[..20] {
+        dpd.push(s);
+    }
+    let warmup = dpd.snapshot();
+    for &s in &data[20..] {
+        dpd.push(s);
+    }
+    let steady = dpd.snapshot();
+
+    let mut table = table_builder().build_table().unwrap();
+    let mut out = Vec::new();
+    let mut seq = 0u64;
+    for wave in 0..6usize {
+        for (id, period) in [(1u64, 3usize), (2, 4), (3, 5)] {
+            let samples: Vec<i64> = (wave * 10..wave * 10 + 10)
+                .map(|i| 0x100 * id as i64 + (i % period) as i64)
+                .collect();
+            table.ingest(seq, StreamId(id), &samples, &mut out);
+            seq += samples.len() as u64;
+        }
+    }
+    vec![
+        ("detector_warmup", warmup),
+        ("detector_steady", steady),
+        ("table_forecast", table.snapshot()),
+    ]
+}
+
+fn to_hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn from_hex(text: &str) -> Vec<u8> {
+    (0..text.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+fn load() -> Vec<(String, Vec<u8>)> {
+    let text = std::fs::read_to_string(fixture_path()).expect("golden snapshot fixture");
+    text.lines()
+        .map(|line| {
+            let (name, hex) = line.split_once(' ').expect("`name hex` line");
+            (name.to_string(), from_hex(hex))
+        })
+        .collect()
+}
+
+#[test]
+fn this_build_writes_the_golden_bytes() {
+    let fresh = generate();
+    if bless() {
+        let text: String = fresh
+            .iter()
+            .map(|(name, bytes)| format!("{name} {}\n", to_hex(bytes)))
+            .collect();
+        std::fs::write(fixture_path(), text).unwrap();
+        return;
+    }
+    let golden = load();
+    assert_eq!(golden.len(), fresh.len());
+    for ((name, bytes), (fresh_name, fresh_bytes)) in golden.iter().zip(&fresh) {
+        assert_eq!(name, fresh_name);
+        assert!(bytes == fresh_bytes, "{name}: snapshot bytes changed");
+    }
+}
+
+#[test]
+fn golden_snapshots_restore_and_resnapshot_byte_identically() {
+    if bless() {
+        return;
+    }
+    for (name, bytes) in load() {
+        let again = match name.as_str() {
+            "table_forecast" => table_builder().restore_table(&bytes).unwrap().snapshot(),
+            _ => detector_builder()
+                .restore_detector(&bytes)
+                .unwrap()
+                .snapshot(),
+        };
+        assert!(again == bytes, "{name}: re-snapshot differs");
+    }
+}
+
+/// Byte offset of the varint pair count of delay `m` inside a detector
+/// envelope, found by walking the documented body layout: the streaming
+/// config, then the engine's pushed counter, history, history push
+/// counter and the ascending sums.
+fn pair_count_offset(bytes: &[u8], m: usize) -> usize {
+    let mut r = SnapshotReader::envelope(bytes, TAG_DETECTOR).unwrap();
+    r.u64().unwrap(); // window
+    let m_max = r.u64().unwrap() as usize;
+    assert!((1..=m_max).contains(&m));
+    r.f64().unwrap(); // relative threshold
+    r.f64().unwrap(); // absolute threshold
+    r.bool().unwrap(); // strict
+    for _ in 0..4 {
+        r.u64().unwrap(); // min_delay, confirm, lose, resync_interval
+    }
+    r.u64().unwrap(); // pushed
+    let history = r.u64().unwrap();
+    for _ in 0..history {
+        r.i64().unwrap();
+    }
+    r.u64().unwrap(); // history push counter
+    assert_eq!(r.u64().unwrap() as usize, m_max);
+    for _ in 0..m_max {
+        r.f64().unwrap();
+    }
+    for _ in 1..m {
+        r.u64().unwrap();
+    }
+    bytes.len() - r.remaining()
+}
+
+#[test]
+fn altered_pair_count_is_malformed() {
+    if bless() {
+        return;
+    }
+    for (name, bytes) in load() {
+        if !name.starts_with("detector_") {
+            continue;
+        }
+        for m in 1..=12 {
+            let at = pair_count_offset(&bytes, m);
+            for altered in [bytes[at].wrapping_add(1), bytes[at].wrapping_sub(1)] {
+                // Window 16: every count is a one-byte varint, and so is
+                // its neighbour.
+                assert!(bytes[at] < 0x7f && altered < 0x80);
+                let mut copy = bytes.clone();
+                copy[at] = altered;
+                assert!(
+                    matches!(
+                        StreamingDpd::<i64, EventMetric>::restore(&copy),
+                        Err(SnapshotError::Malformed { .. })
+                    ),
+                    "{name}: pair count of delay {m} altered to {altered} was accepted"
+                );
+            }
+        }
+    }
+}
