@@ -25,31 +25,6 @@ pub struct Dpd {
 }
 
 impl Dpd {
-    /// Create a DPD with the default (large) window.
-    #[deprecated(note = "use dpd_core::pipeline::DpdBuilder::new().build_capi() — \
-                         see the README migration table")]
-    pub fn new() -> Self {
-        crate::pipeline::DpdBuilder::new()
-            .build_capi()
-            .expect("default window is valid")
-    }
-
-    /// Create a DPD with an explicit window size.
-    ///
-    /// # Panics
-    /// Panics when `window == 0` (mirrors the C implementation's assert).
-    #[deprecated(
-        note = "use dpd_core::pipeline::DpdBuilder::new().window(n).build_capi() — \
-                         see the README migration table"
-    )]
-    pub fn with_window(window: usize) -> Self {
-        assert!(window > 0, "DPD window size must be non-zero");
-        crate::pipeline::DpdBuilder::new()
-            .window(window)
-            .build_capi()
-            .expect("window validated above")
-    }
-
     /// Wrap an assembled detector (the [`crate::pipeline::DpdBuilder`]
     /// hook).
     pub(crate) fn from_detector(inner: StreamingDpd<i64, crate::metric::EventMetric>) -> Self {
@@ -239,21 +214,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-zero")]
-    #[allow(deprecated)] // the compat shim keeps the C assert's behavior
-    fn zero_window_panics() {
-        let _ = Dpd::with_window(0);
-    }
-
-    #[test]
     fn default_is_new() {
         assert_eq!(Dpd::default().window(), DEFAULT_WINDOW);
-    }
-
-    #[test]
-    #[allow(deprecated)] // compat shims must assemble the same detector
-    fn deprecated_shims_delegate_to_builder() {
-        assert_eq!(Dpd::new().window(), DEFAULT_WINDOW);
-        assert_eq!(Dpd::with_window(64).window(), 64);
     }
 }

@@ -48,9 +48,7 @@
 //! Every one of those stacks is constructed through **one typed entry
 //! point**, [`pipeline::DpdBuilder`], which validates option combinations
 //! ([`pipeline::BuildError`]) and reports through one event stream
-//! ([`pipeline::EventSink`] / [`pipeline::DpdEvent`]). The pre-builder
-//! constructors remain as `#[deprecated]` delegates; the README's
-//! *"Migration from 0.x constructors"* table maps each to its builder call.
+//! ([`pipeline::EventSink`] / [`pipeline::DpdEvent`]).
 //!
 //! ## Quick start
 //!

@@ -3,7 +3,7 @@
 //! The paper describes a single conceptual object — a dynamic periodicity
 //! detector fed a sample stream, emitting periods, segments and forecasts —
 //! but a grown codebase easily fractures that object into parallel
-//! construction paths (`Dpd::with_window`, `StreamingDpd` + config,
+//! construction paths (the Table 1 `Dpd`, `StreamingDpd` + config,
 //! `MultiScaleDpd`, `ForecastingDpd`, `StreamTable`, the sharded service),
 //! each with its own push/event vocabulary. This module is the unification:
 //!
@@ -17,11 +17,9 @@
 //!   issuance/scoring all arrive through one `on_event(stream, &event)`
 //!   call, whatever stack produced them.
 //!
-//! The old constructors remain as `#[deprecated]` shims that delegate here;
-//! the README's *"Migration from 0.x constructors"* table maps each one to
-//! its builder call. Behavior is bit-identical (property-tested in
-//! `tests/proptest_pipeline.rs`): the builder assembles exactly the same
-//! detector objects the deprecated paths did.
+//! The builder is the only construction path. The unified pipeline reports
+//! exactly the events of the raw stack the same options build
+//! (property-tested in `tests/proptest_pipeline.rs`).
 //!
 //! # Quick start
 //!

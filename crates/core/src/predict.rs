@@ -76,7 +76,7 @@
 
 use crate::metric::EventMetric;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-use crate::streaming::{SegmentEvent, StreamingConfig, StreamingDpd};
+use crate::streaming::{SegmentEvent, StreamingDpd};
 use crate::window::RingWindow;
 use std::collections::VecDeque;
 
@@ -532,18 +532,6 @@ pub struct ForecastingDpd {
 }
 
 impl ForecastingDpd {
-    /// Event-stream detector with forecasting at the given horizon.
-    #[deprecated(note = "use dpd_core::pipeline::DpdBuilder::new().detector(config)\
-                         .forecast(horizon).build_forecasting() — see the README \
-                         migration table")]
-    pub fn events(config: StreamingConfig, horizon: usize) -> crate::Result<Self> {
-        let predict = PredictConfig::new(config.window, horizon)?;
-        Ok(ForecastingDpd {
-            dpd: StreamingDpd::new(EventMetric, config).expect("validated by with_window"),
-            predictor: Predictor::new(predict),
-        })
-    }
-
     /// Bundle an assembled detector and predictor (the
     /// [`crate::pipeline::DpdBuilder`] hook).
     pub(crate) fn from_parts(dpd: StreamingDpd<i64, EventMetric>, predictor: Predictor) -> Self {

@@ -4,7 +4,7 @@
 //! answers them **incrementally**: it consumes the same per-sample deltas
 //! the detector already emits ([`SegmentEvent`] transitions, scored
 //! forecasts, stream retirement) and turns every state change into at most
-//! a handful of [`QueryDelta::Enter`]/[`QueryDelta::Exit`] notifications.
+//! a handful of [`QueryChange::Enter`]/[`QueryChange::Exit`] notifications.
 //! It never rescans detector state — in the semi-naive tradition, work is
 //! proportional to the *delta* (the streams and predicates a change can
 //! affect), not to the table size or the number of registered queries:

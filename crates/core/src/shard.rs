@@ -135,63 +135,6 @@ pub struct TableConfig {
 }
 
 impl TableConfig {
-    /// Table with the given detector window and no eviction.
-    #[deprecated(note = "use dpd_core::pipeline::DpdBuilder::new().window(n).keyed()\
-                         .table_config() — see the README migration table")]
-    pub fn with_window(n: usize) -> Self {
-        crate::pipeline::DpdBuilder::new()
-            .window(n)
-            .keyed()
-            .table_config()
-            .unwrap_or_else(|e| panic!("TableConfig::with_window shim: {e}"))
-    }
-
-    /// Same, with an idle-eviction watermark.
-    #[deprecated(note = "use dpd_core::pipeline::DpdBuilder::new().window(n)\
-                         .evict_after(samples).table_config() — see the README migration table")]
-    pub fn with_eviction(n: usize, evict_after: u64) -> Self {
-        crate::pipeline::DpdBuilder::new()
-            .window(n)
-            .keyed()
-            .evict_after(evict_after)
-            .table_config()
-            .unwrap_or_else(|e| panic!("TableConfig::with_eviction shim: {e}"))
-    }
-
-    /// Table with per-stream forecasting at horizon `h` (detector window
-    /// `n`, no eviction).
-    #[deprecated(note = "use dpd_core::pipeline::DpdBuilder::new().window(n).keyed()\
-                         .forecast(h).table_config() — see the README migration table")]
-    pub fn with_forecast(n: usize, h: usize) -> Self {
-        crate::pipeline::DpdBuilder::new()
-            .window(n)
-            .keyed()
-            .forecast(h)
-            .table_config()
-            .unwrap_or_else(|e| panic!("TableConfig::with_forecast shim: {e}"))
-    }
-
-    /// Builder-style: enable forecasting at horizon `h` on any config.
-    #[deprecated(note = "use dpd_core::pipeline::DpdBuilder::forecast(h) — \
-                         see the README migration table")]
-    pub fn forecasting(self, h: usize) -> Self {
-        let mut b = crate::pipeline::DpdBuilder::new()
-            .detector(self.detector)
-            .keyed()
-            .forecast(h);
-        if self.evict_after > 0 {
-            b = b.evict_after(self.evict_after);
-        }
-        if self.memory_budget > 0 {
-            b = b.memory_budget(self.memory_budget);
-        }
-        if self.cold_retain > 0 {
-            b = b.cold_summary(self.cold_retain);
-        }
-        b.table_config()
-            .unwrap_or_else(|e| panic!("TableConfig::forecasting shim: {e}"))
-    }
-
     /// The predictor configuration for one stream, when forecasting is on.
     fn predict_config(&self) -> Option<PredictConfig> {
         (self.forecast_horizon > 0)
@@ -1487,7 +1430,7 @@ impl StreamTable {
 
     // ------------------------------------------------------------------
     // Snapshot hooks (see `crate::snapshot` for the envelope and the
-    // TAG_TABLE v1 / TAG_TABLE_V2 negotiation; layouts in docs/FORMAT.md).
+    // TAG_TABLE_V2 / TAG_TABLE_V3 negotiation; layouts in docs/FORMAT.md).
 
     /// Serialize the full table state — configuration, rollup counters,
     /// every hot stream entry and every cold summary (each section
@@ -1708,89 +1651,6 @@ impl StreamTable {
         self.strips.checked[slot] = r.u64()?;
         self.strips.hits[slot] = r.u64()?;
         Ok(slot)
-    }
-
-    /// Rebuild a table from the legacy v1 (`TAG_TABLE`, PR 6) body: the
-    /// pre-tiering layout with no budget/cold configuration, no
-    /// demote/promote counters and no cold section. Lifetime strip
-    /// columns are derived from the restored per-stream state (exact for
-    /// v1 tables: without tiering, per-incarnation and lifetime counters
-    /// coincide).
-    pub(crate) fn restore_state_v1(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let detector = crate::snapshot::read_streaming_config(r)?;
-        let config = TableConfig {
-            detector,
-            evict_after: r.u64()?,
-            forecast_horizon: r.u64()? as usize,
-            memory_budget: 0,
-            cold_retain: 0,
-        };
-        if detector.window == 0 || detector.m_max == 0 || detector.m_max > detector.window {
-            return Err(SnapshotError::Malformed {
-                what: "table detector configuration fails validation",
-            });
-        }
-        let mut table = StreamTable::new(config);
-        table.stats = TableStats {
-            streams: 0,
-            cold: 0,
-            created: r.u64()?,
-            samples: r.u64()?,
-            events: r.u64()?,
-            evicted: r.u64()?,
-            closed: r.u64()?,
-            demoted: 0,
-            promoted: 0,
-            forecast_checked: r.u64()?,
-            forecast_hits: r.u64()?,
-            forecast_invalidations: r.u64()?,
-            query_enters: 0,
-            query_exits: 0,
-        };
-        let n = r.count(MAX_RESIDENT_STREAMS, "implausible live-stream count")?;
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let id = r.u64()?;
-            if prev.is_some_and(|p| p >= id) {
-                return Err(SnapshotError::Malformed {
-                    what: "stream entries out of ascending id order",
-                });
-            }
-            prev = Some(id);
-            let last_seq = r.u64()?;
-            let dpd = StreamingDpd::restore_state(EventMetric, r, &|r| r.i64())?;
-            if dpd.config() != config.detector {
-                return Err(SnapshotError::Malformed {
-                    what: "stream detector configuration disagrees with table",
-                });
-            }
-            let predictor = if r.bool()? {
-                let p = Predictor::restore_state(r)?;
-                if Some(p.config()) != config.predict_config() {
-                    return Err(SnapshotError::Malformed {
-                        what: "stream predictor configuration disagrees with table",
-                    });
-                }
-                Some(p)
-            } else {
-                if config.forecast_horizon > 0 {
-                    return Err(SnapshotError::Malformed {
-                        what: "forecasting table entry lacks a predictor",
-                    });
-                }
-                None
-            };
-            let slot = table.alloc_slot(id);
-            table.index.insert(id, slot as u32);
-            table.accounted += table.slot_bytes;
-            table.strips.last_seq[slot] = last_seq;
-            table.strips.samples[slot] = dpd.stats().samples;
-            table.strips.boundaries[slot] = dpd.stats().boundaries;
-            table.strips.checked[slot] = predictor.as_ref().map_or(0, |p| p.stats().checked);
-            table.strips.hits[slot] = predictor.as_ref().map_or(0, |p| p.stats().hits);
-            table.install_hot(slot, Box::new(HotState { dpd, predictor }));
-        }
-        Ok(table)
     }
 }
 

@@ -74,18 +74,17 @@ pub const TAG_CAPI: u8 = 5;
 /// Envelope tag: a standalone [`Predictor`].
 pub const TAG_PREDICTOR: u8 = 6;
 /// Envelope tag: a keyed [`StreamTable`], legacy v1 body (pre-slab flat
-/// layout, no memory budget or cold tier). Still read for old checkpoints;
-/// never written.
+/// layout). Retired: reserved, never written, and rejected on read.
 pub const TAG_TABLE: u8 = 7;
 /// Envelope tag: a whole multi-stream service (written by `par-runtime`'s
-/// `MultiStreamDpd::checkpoint`; the body nests [`TAG_TABLE`] /
-/// [`TAG_TABLE_V2`] envelopes per shard).
+/// `MultiStreamDpd::checkpoint`; the body nests one [`TAG_TABLE_V2`] /
+/// [`TAG_TABLE_V3`] envelope per shard).
 pub const TAG_SERVICE: u8 = 8;
 /// Envelope tag: a keyed [`StreamTable`], v2 body (slab store: budget and
 /// cold-retention config, lifetime rollup strips, hot + cold tier
 /// sections). The table body written when no standing-query engine is
-/// attached; [`Restore`] for `StreamTable` negotiates all three table
-/// tags.
+/// attached; [`Restore`] for `StreamTable` negotiates it and
+/// [`TAG_TABLE_V3`].
 pub const TAG_TABLE_V2: u8 = 9;
 /// Envelope tag: a keyed [`StreamTable`] with an attached standing-query
 /// engine — the v2 body followed by the query section (specs, clock,
@@ -522,18 +521,12 @@ impl Snapshot for StreamTable {
 impl Restore for StreamTable {
     fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         // Version negotiation: the envelope tag selects the body layout.
-        // Pre-slab checkpoints (TAG_TABLE) restore into an unbudgeted
-        // hot-only table; TAG_TABLE_V3 carries a standing-query engine
-        // after the v2 body; anything else must be the v2 body. A wrong
-        // tag surfaces as the usual typed `TagMismatch` (expecting v2) —
-        // never a panic.
+        // TAG_TABLE_V3 carries a standing-query engine after the v2 body;
+        // anything else must be the v2 body. A wrong tag (the retired v1
+        // TAG_TABLE included) surfaces as the usual typed `BadTag`
+        // (expecting v2) — never a panic.
         let tag = (bytes.len() >= 2 && bytes[0] == VERSION).then(|| bytes[1]);
-        let table = if tag == Some(TAG_TABLE) {
-            let mut r = SnapshotReader::envelope(bytes, TAG_TABLE)?;
-            let table = StreamTable::restore_state_v1(&mut r)?;
-            r.finish()?;
-            table
-        } else if tag == Some(TAG_TABLE_V3) {
+        let table = if tag == Some(TAG_TABLE_V3) {
             let mut r = SnapshotReader::envelope(bytes, TAG_TABLE_V3)?;
             let table = StreamTable::restore_state_v3(&mut r)?;
             r.finish()?;
@@ -798,6 +791,18 @@ mod tests {
         restored.close_all(seq, &mut out_b);
         assert_eq!(out_a, out_b);
         assert_eq!(restored.stats(), table.stats());
+        // The retired v1 tag is rejected, with or without a body.
+        let mut v1 = table.snapshot();
+        v1[1] = TAG_TABLE;
+        for bytes in [&v1[..], &v1[..2]] {
+            assert_eq!(
+                StreamTable::restore(bytes).unwrap_err(),
+                SnapshotError::BadTag {
+                    expected: TAG_TABLE_V2,
+                    found: TAG_TABLE,
+                }
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Table 2.
 
 use crate::incremental::{EngineConfig, IncrementalEngine};
-use crate::metric::{EventMetric, L1Metric, Metric};
+use crate::metric::{EventMetric, Metric};
 use crate::minima::MinimaPolicy;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::spectrum::Spectrum;
@@ -44,41 +44,8 @@ pub struct StreamingConfig {
 }
 
 impl StreamingConfig {
-    /// Sensible defaults for a window of `n` samples (`M = N`).
-    #[deprecated(
-        note = "use dpd_core::pipeline::DpdBuilder::new().window(n).detector_config() \
-                         — see the README migration table"
-    )]
-    pub fn with_window(n: usize) -> Self {
-        StreamingConfig {
-            window: n,
-            m_max: n,
-            policy: MinimaPolicy::exact(),
-            confirm: 1,
-            lose: 1,
-            resync_interval: 0,
-        }
-    }
-
-    /// Defaults for noisy magnitude streams: relative-threshold policy,
-    /// confirmation window and drift resync.
-    #[deprecated(
-        note = "use dpd_core::pipeline::DpdBuilder::new().window(n).magnitudes()\
-                         .detector_config() — see the README migration table"
-    )]
-    pub fn magnitudes(n: usize) -> Self {
-        StreamingConfig {
-            window: n,
-            m_max: n,
-            policy: MinimaPolicy::relative(0.35),
-            confirm: 4,
-            lose: 2,
-            resync_interval: 8192,
-        }
-    }
-
-    /// Engine-level event-stream defaults (`M = N`, exact policy) shared
-    /// by the builder internals and the deprecated compat shims.
+    /// Engine-level event-stream defaults (`M = N`, exact policy), used by
+    /// the builder internals.
     pub(crate) fn events_defaults(n: usize) -> Self {
         StreamingConfig {
             window: n,
@@ -205,28 +172,6 @@ pub struct StreamingDpd<T, M: Metric<T>> {
     config: StreamingConfig,
     state: State<T>,
     stats: StreamStats,
-}
-
-impl StreamingDpd<i64, EventMetric> {
-    /// Event-stream detector (equation 2) — the variant used on sequences of
-    /// parallel-loop addresses in the paper's evaluation.
-    #[deprecated(note = "use dpd_core::pipeline::DpdBuilder::new().detector(config)\
-                         .build_detector() — see the README migration table")]
-    pub fn events(config: StreamingConfig) -> Self {
-        StreamingDpd::new(EventMetric, config).expect("validated by with_window")
-    }
-}
-
-impl StreamingDpd<f64, L1Metric> {
-    /// Magnitude-stream detector (equation 1) — the variant used on sampled
-    /// CPU-usage traces (paper Figs. 3/4).
-    #[deprecated(
-        note = "use dpd_core::pipeline::DpdBuilder::new().detector(config).magnitudes()\
-                         .build_magnitude_detector() — see the README migration table"
-    )]
-    pub fn magnitudes(config: StreamingConfig) -> Self {
-        StreamingDpd::new(L1Metric, config).expect("validated by magnitudes")
-    }
 }
 
 impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
@@ -631,25 +576,8 @@ impl MultiScaleEvent {
 }
 
 impl MultiScaleDpd {
-    /// Detector bank with the given window sizes (ascending recommended).
-    #[deprecated(note = "use dpd_core::pipeline::DpdBuilder::new().scales(windows)\
-                         .build_multi_scale() — see the README migration table")]
-    pub fn new(windows: &[usize]) -> crate::Result<Self> {
-        MultiScaleDpd::from_windows(windows)
-    }
-
-    /// The paper's setting: small, medium and large windows
-    /// (`N = 8, 64, 512`; §3.1 discusses N from under 10 up to 1024).
-    #[deprecated(note = "use dpd_core::pipeline::DpdBuilder::new()\
-                         .scales(pipeline::DEFAULT_SCALES).build_multi_scale() \
-                         — see the README migration table")]
-    pub fn default_scales() -> Self {
-        MultiScaleDpd::from_windows(crate::pipeline::DEFAULT_SCALES)
-            .expect("static scale set is valid")
-    }
-
-    /// Engine-level bank construction shared by the builder and the
-    /// deprecated shims.
+    /// Engine-level bank construction (windows ascending recommended),
+    /// used by the builder and the nested/hierarchy analyses.
     pub(crate) fn from_windows(windows: &[usize]) -> crate::Result<Self> {
         if windows.is_empty() {
             return Err(crate::DpdError::InvalidWindow(0));

@@ -395,7 +395,9 @@ fn ack_target(shared: &Shared, state: &ConnState) -> u64 {
 
 /// Decode every complete frame buffered in `dec` and apply the batch to
 /// the service under one lock acquisition. Returns whether any frame was
-/// consumed (progress, for the stall clock).
+/// consumed (progress, for the stall clock). A malformed frame ends the
+/// batch: the blocks decoded before it are still applied (the valid
+/// prefix, FORMAT.md §11.2), then its error is returned.
 fn drain_decoder(
     dec: &mut DtbDecoder,
     shared: &Shared,
@@ -404,23 +406,24 @@ fn drain_decoder(
     let mut batch: Vec<(StreamId, Vec<i64>)> = Vec::new();
     let mut frames = 0u64;
     let mut skipped = 0u64;
-    loop {
-        match dec.next_block()? {
-            Some(Block::Events { stream, values }) => {
+    let failure = loop {
+        match dec.next_block() {
+            Ok(Some(Block::Events { stream, values })) => {
                 frames += 1;
                 shared.ctr.frame_samples.record(values.len() as u64);
                 batch.push((StreamId(stream), values.to_vec()));
             }
-            Some(Block::Samples { values, .. }) => {
+            Ok(Some(Block::Samples { values, .. })) => {
                 frames += 1;
                 skipped += values.len() as u64;
             }
-            Some(Block::Decl { .. }) => frames += 1,
-            None => break,
+            Ok(Some(Block::Decl { .. })) => frames += 1,
+            Ok(None) => break None,
+            Err(e) => break Some(e),
         }
-    }
+    };
     if frames == 0 {
-        return Ok(false);
+        return failure.map_or(Ok(false), Err);
     }
     shared.ctr.frames.add(frames);
     if skipped > 0 {
@@ -447,7 +450,7 @@ fn drain_decoder(
             shared.checkpoint_locked(&mut core);
         }
     }
-    Ok(true)
+    failure.map_or(Ok(true), Err)
 }
 
 /// Serve one connection to completion. Runs on the connection's worker
@@ -788,6 +791,18 @@ mod tests {
         w.finish().unwrap()
     }
 
+    /// Events of an in-process inline replay of the container `bytes`.
+    fn replay(builder: &DpdBuilder, bytes: &[u8]) -> Vec<MultiStreamEvent> {
+        let mut svc = MultiStreamDpd::from_builder(builder).unwrap();
+        let mut r = dpd_trace::dtb::DtbReader::new(bytes).unwrap();
+        while let Some(block) = r.next_block() {
+            if let Block::Events { stream, values } = block.unwrap() {
+                svc.ingest(&[(StreamId(stream), values)]);
+            }
+        }
+        svc.finish().0
+    }
+
     fn by_stream(events: &[MultiStreamEvent]) -> BTreeMap<u64, Vec<MultiStreamEvent>> {
         let mut m: BTreeMap<u64, Vec<MultiStreamEvent>> = BTreeMap::new();
         for &e in events {
@@ -802,14 +817,7 @@ mod tests {
         let bytes = corpus(4, 200);
 
         // Reference: in-process inline replay of the same container.
-        let mut svc = MultiStreamDpd::from_builder(&builder).unwrap();
-        let mut r = dpd_trace::dtb::DtbReader::new(&bytes).unwrap();
-        while let Some(block) = r.next_block() {
-            if let Block::Events { stream, values } = block.unwrap() {
-                svc.ingest(&[(StreamId(stream), values)]);
-            }
-        }
-        let (ref_events, _) = svc.finish();
+        let ref_events = replay(&builder, &bytes);
 
         // Wire: one connection, deliberately fragmented writes.
         let server = DpdServer::start(&builder, NetConfig::default(), "127.0.0.1:0").unwrap();
@@ -873,6 +881,30 @@ mod tests {
         // The healthy connection's samples all landed; the corrupt one
         // contributed at most its clean prefix.
         assert!(report.stats.samples >= 50);
+    }
+
+    /// A malformed frame arriving in the same read as valid ones ends the
+    /// connection, but the valid prefix before it stays applied.
+    #[test]
+    fn valid_prefix_before_malformed_frame_is_applied() {
+        let builder = DpdBuilder::new().window(8).keyed().shards(0);
+        let bytes = corpus(2, 60);
+        let ref_events = replay(&builder, &bytes);
+        let server = DpdServer::start(&builder, NetConfig::default(), "127.0.0.1:0").unwrap();
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        read_handshake(&mut sock);
+        // Unknown frame type 0xEE: one body byte, zero CRC.
+        let mut wire = bytes;
+        wire.extend_from_slice(&[0xEE, 1, 0, 0, 0, 0, 0]);
+        sock.write_all(&wire).unwrap();
+        let _ = sock.shutdown(Shutdown::Write);
+        let mut sink = Vec::new();
+        let _ = sock.read_to_end(&mut sink);
+        drop(sock);
+        let report = server.shutdown().unwrap();
+        assert_eq!(report.stats.protocol_errors, 1);
+        assert_eq!(report.stats.samples, 120);
+        assert_eq!(by_stream(&report.events), by_stream(&ref_events));
     }
 
     #[test]

@@ -17,15 +17,16 @@
 //!   [`MultiStreamDpd::snapshot`] — the same cells a live `/metrics`
 //!   scrape renders, so drain summaries and scrapes cannot drift (metric
 //!   names in `docs/OBSERVABILITY.md`).
-//! * **Determinism.** `shards: 0` selects an inline single-threaded mode
-//!   that processes every record synchronously on the calling thread. It is
-//!   the reference implementation: for any shard count and any interleaving
-//!   of per-stream batches, the sharded service produces exactly the same
-//!   per-stream event sequences (property-tested in
-//!   `tests/proptest_multistream.rs`). This holds because a stream is owned
-//!   by exactly one shard, shard queues are FIFO, and every `StreamTable`
-//!   decision depends only on the stream's own samples and the global
-//!   sample clock carried with each batch.
+//! * **Determinism.** `shards: 0` runs inline on the calling thread and is
+//!   the reference: for any shard count and any interleaving of per-stream
+//!   batches, the sharded service produces exactly the same per-stream
+//!   event sequences (property-tested in `tests/proptest_multistream.rs`).
+//!   This holds by construction: both modes run every shard through one
+//!   private `ShardCore`, the only code that touches a shard's table,
+//!   clock, unpublished events and rollups. A stream is owned by exactly
+//!   one shard, shard queues are FIFO, sweeps follow the global sample
+//!   clock, and every `StreamTable` decision depends only on the stream's
+//!   own samples and the global sample clock carried with each batch.
 //!
 //! * **Standing queries.** Queries registered on the builder attach to
 //!   every shard's table; deltas merge through the same sink and drain
@@ -48,9 +49,9 @@
 //!   uninterrupted run would have emitted.
 
 use crossbeam::channel::{unbounded, Sender};
-use dpd_core::pipeline::{BuildError, DpdBuilder, DpdEvent, EventSink};
+use dpd_core::pipeline::{BuildError, DpdBuilder, DpdEvent, EventSink, ServiceSpec};
 use dpd_core::query::{QueryDelta, QuerySpec};
-use dpd_core::shard::{shard_of, MultiStreamEvent, StreamId, StreamTable, TableConfig, TableStats};
+use dpd_core::shard::{shard_of, MultiStreamEvent, StreamId, StreamTable, TableStats};
 use dpd_core::snapshot::{
     Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, TAG_SERVICE,
 };
@@ -58,92 +59,9 @@ use dpd_obs::{Counter, Gauge, Histogram, Registry, SelfTracer};
 use dpd_trace::pile::{recover, EpochMarker, PileError, PileFrame, PileWriter};
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Configuration of a [`MultiStreamDpd`] service.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceConfig {
-    /// Worker shards. `0` = deterministic inline mode (no threads): every
-    /// record is processed synchronously on the calling thread.
-    pub shards: usize,
-    /// Per-shard stream-table configuration (detector + eviction).
-    pub table: TableConfig,
-    /// Samples of shard-local traffic between idle-stream memory sweeps
-    /// (`0` = sweep only at [`MultiStreamDpd::finish`]). Sweeps reclaim
-    /// memory early but never change emitted events.
-    pub sweep_every: u64,
-    /// Standing queries attached to every shard's table, in registration
-    /// order (empty = no query engine; see `dpd_core::query`).
-    pub queries: Vec<QuerySpec>,
-}
-
-impl ServiceConfig {
-    /// Assemble a service configuration from the unified builder: the
-    /// builder is the per-stream factory every shard clones. Requires
-    /// [`DpdBuilder::shards`] (`shards(0)` selects inline mode).
-    pub fn from_builder(builder: &DpdBuilder) -> Result<Self, BuildError> {
-        let spec = builder.service_spec()?;
-        Ok(ServiceConfig {
-            shards: spec.shards,
-            table: spec.table,
-            sweep_every: spec.sweep_every,
-            queries: spec.queries,
-        })
-    }
-
-    /// `shards` workers, detector window `n`, no eviction.
-    #[deprecated(note = "use MultiStreamDpd::from_builder(DpdBuilder::new().window(n)\
-                         .shards(shards)) — see the README migration table")]
-    pub fn with_window(shards: usize, n: usize) -> Self {
-        ServiceConfig {
-            shards,
-            table: table_defaults(n, 0, 0),
-            sweep_every: 0,
-            queries: Vec::new(),
-        }
-    }
-
-    /// Same, with an idle-eviction watermark (in global samples).
-    #[deprecated(note = "use MultiStreamDpd::from_builder(DpdBuilder::new().window(n)\
-                         .evict_after(samples).shards(shards)) — see the README migration table")]
-    pub fn with_eviction(shards: usize, n: usize, evict_after: u64) -> Self {
-        ServiceConfig {
-            shards,
-            table: table_defaults(n, evict_after, 0),
-            sweep_every: if evict_after == 0 { 0 } else { evict_after * 4 },
-            queries: Vec::new(),
-        }
-    }
-
-    /// `shards` workers with opt-in per-stream forecasting at horizon `h`
-    /// (detector window `n`, no eviction). Forecast accuracy rolls up into
-    /// [`ShardStats::forecast_checked`] / [`ShardStats::forecast_hits`].
-    #[deprecated(note = "use MultiStreamDpd::from_builder(DpdBuilder::new().window(n)\
-                         .forecast(h).shards(shards)) — see the README migration table")]
-    pub fn with_forecast(shards: usize, n: usize, h: usize) -> Self {
-        ServiceConfig {
-            shards,
-            table: table_defaults(n, 0, h),
-            sweep_every: 0,
-            queries: Vec::new(),
-        }
-    }
-}
-
-/// Builder-equivalent table defaults for the deprecated shims (kept
-/// bit-identical to what `DpdBuilder` assembles).
-fn table_defaults(n: usize, evict_after: u64, forecast_horizon: usize) -> TableConfig {
-    let mut b = DpdBuilder::new().window(n).keyed();
-    if evict_after > 0 {
-        b = b.evict_after(evict_after);
-    }
-    if forecast_horizon > 0 {
-        b = b.forecast(forecast_horizon);
-    }
-    b.table_config().expect("shim options are coherent")
-}
 
 /// Point-in-time rollup of one shard (or of the inline table).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -198,12 +116,11 @@ impl ShardStats {
         self.query_exits += other.query_exits;
     }
 
-    /// The single table→shard accumulation point. Both rollup paths — the
-    /// inline `snapshot()` arm and the worker-side `publish` refresh — map
-    /// a [`TableStats`] through here, so the two can never drift
-    /// field-by-field (asserted in `tests/proptest_multistream.rs`).
-    /// Queue depth and batch counts are shard-frontend concerns and start
-    /// at zero.
+    /// The single table→shard accumulation point: every shard's rollup
+    /// publication, inline or on a worker, maps a [`TableStats`] through
+    /// here, so the two modes can never drift field-by-field (asserted in
+    /// `tests/proptest_multistream.rs`). Queue depth and batch counts are
+    /// queue-traffic concerns and start at zero.
     pub fn from_table(t: &TableStats) -> Self {
         ShardStats {
             streams: t.streams,
@@ -350,9 +267,10 @@ pub struct ServiceObs {
     pub self_tracer: Option<SelfTracer>,
 }
 
-/// Per-shard rollups as registry handles — the lock-free mirror the
-/// workers publish into and both `snapshot()` arms read back from.
-/// Series carry a `shard` label: `dpd_shard_samples_total{shard="0"}`.
+/// Per-shard rollups as registry handles — the lock-free mirror each
+/// shard's core publishes into and [`MultiStreamDpd::snapshot`] reads
+/// back. Series carry a `shard` label: `dpd_shard_samples_total{shard="0"}`.
+#[derive(Clone)]
 struct ShardMetrics {
     streams: Gauge,
     cold: Gauge,
@@ -434,8 +352,8 @@ impl ShardMetrics {
 
     /// The single table→registry publication point: map a [`TableStats`]
     /// through [`ShardStats::from_table`] and store each field into its
-    /// registry cell. Queue depth and batch counts are owned by the
-    /// shard frontend/worker and left untouched.
+    /// registry cell. Queue depth and batch counts count queue traffic
+    /// only and are left untouched.
     fn publish_table(&self, t: &TableStats) {
         let t = ShardStats::from_table(t);
         self.streams.set(t.streams);
@@ -484,9 +402,9 @@ enum Cmd {
     /// flush event unless the stream is already idle past the watermark).
     Close(u64, StreamId),
     /// Watermark sweep at the given global clock. Broadcast by the
-    /// frontend to every shard on the same global cadence the inline
-    /// mode sweeps on, so eviction retirements (and the query `Exit`
-    /// deltas they emit) land at identical clocks in both modes.
+    /// frontend to every shard on one global cadence, so eviction
+    /// retirements (and the query `Exit` deltas they emit) land at
+    /// identical clocks in both modes.
     Sweep(u64),
     /// Quiesce barrier: ack once every earlier command is processed.
     Flush(mpsc::Sender<()>),
@@ -498,43 +416,169 @@ enum Cmd {
     Finish(u64, mpsc::Sender<()>),
 }
 
+impl Cmd {
+    /// Whether the command counts as queue traffic (`dpd_shard_queue_depth`).
+    fn queued(&self) -> bool {
+        matches!(self, Cmd::Batches(_) | Cmd::Close(..))
+    }
+}
+
 /// One publication from a shard worker: pending segmentation events plus
 /// the standing-query deltas drained from the shard's table in the same
 /// processing round (either side may be empty, never both).
 type ShardPublication = (Vec<MultiStreamEvent>, Vec<QueryDelta>);
 
-struct Sharded {
-    txs: Vec<Sender<Cmd>>,
-    workers: Vec<JoinHandle<()>>,
-    sink: mpsc::Receiver<ShardPublication>,
-    stats: Arc<Vec<ShardMetrics>>,
-    /// Events received while pumping the sink for query deltas.
-    pending_events: Vec<MultiStreamEvent>,
-    /// Query deltas received while pumping the sink for events.
-    pending_deltas: Vec<QueryDelta>,
+/// One shard's state and the only code that touches it: the table, the
+/// highest global sample clock the shard has seen, its unpublished
+/// events and its rollups. Inline mode drives one core on the caller's
+/// thread; each worker drives its own from the queue.
+struct ShardCore {
+    shard: usize,
+    table: StreamTable,
+    clock: u64,
+    events: Vec<MultiStreamEvent>,
+    metrics: ShardMetrics,
+    tracer: Option<SelfTracer>,
+    /// Where `publish` sends output. `None` inline: output stays here
+    /// until the frontend takes it with `take_output`.
+    sink: Option<mpsc::Sender<ShardPublication>>,
 }
 
-impl Sharded {
-    /// Drain everything the workers have published so far into the two
-    /// pending buffers (non-blocking).
-    fn pump(&mut self) {
-        for (events, deltas) in self.sink.try_iter() {
-            self.pending_events.extend(events);
-            self.pending_deltas.extend(deltas);
+impl ShardCore {
+    /// A fresh table for `spec`, with its standing queries attached.
+    fn fresh_table(spec: &ServiceSpec) -> StreamTable {
+        let mut table = StreamTable::new(spec.table);
+        table.attach_queries(spec.queries.clone());
+        table
+    }
+
+    /// Restore one shard's checkpointed table (it carries its query
+    /// engine), checked against `spec`.
+    fn restore_table(bytes: &[u8], spec: &ServiceSpec) -> Result<StreamTable, CheckpointError> {
+        let table = StreamTable::restore(bytes)?;
+        if *table.config() != spec.table {
+            return Err(CheckpointError::ConfigMismatch {
+                what: "table configuration",
+            });
         }
+        if table.query_specs() != spec.queries.as_slice() {
+            return Err(CheckpointError::ConfigMismatch {
+                what: "standing queries",
+            });
+        }
+        Ok(table)
+    }
+
+    /// Wrap `table` (at global clock `clock`) as shard `shard` and publish
+    /// its starting rollups, so a resumed service's `snapshot` reflects the
+    /// restored streams before the first routed record.
+    fn new(
+        shard: usize,
+        table: StreamTable,
+        clock: u64,
+        obs: &ServiceObs,
+        sink: Option<mpsc::Sender<ShardPublication>>,
+    ) -> Self {
+        let mut core = ShardCore {
+            shard,
+            table,
+            clock,
+            events: Vec::new(),
+            metrics: ShardMetrics::register(&obs.registry, shard),
+            tracer: obs.self_tracer.clone(),
+            sink,
+        };
+        core.publish();
+        core
+    }
+
+    /// One ingest-loop iteration over `(seq, stream, samples)` records. The
+    /// timing feeds the per-shard histogram and, when a self-trace is
+    /// attached, the DTB capture `dpd analyze` can point the detector back
+    /// at.
+    fn ingest<'a>(&mut self, records: impl IntoIterator<Item = (u64, StreamId, &'a [i64])>) {
+        let t0 = Instant::now();
+        for (seq, stream, samples) in records {
+            self.clock = self.clock.max(seq + samples.len() as u64);
+            self.table.ingest(seq, stream, samples, &mut self.events);
+        }
+        let ns = t0.elapsed().as_nanos() as u64;
+        self.metrics.ingest_ns.record(ns);
+        if let Some(tracer) = &self.tracer {
+            tracer.record_ns(self.shard, ns);
+        }
+    }
+
+    /// Apply one command, then publish. Barrier replies go out after the
+    /// publication, so everything the command emitted is already in the
+    /// sink when the frontend hears back.
+    fn apply(&mut self, cmd: Cmd) {
+        let ack = match cmd {
+            Cmd::Batches(records) => {
+                self.ingest(records.iter().map(|(seq, s, v)| (*seq, *s, v.as_slice())));
+                None
+            }
+            Cmd::Close(seq, stream) => {
+                self.table.close(seq, stream, &mut self.events);
+                None
+            }
+            Cmd::Sweep(seq) => {
+                self.clock = self.clock.max(seq);
+                self.table.sweep(seq);
+                None
+            }
+            Cmd::Flush(ack) => Some(ack),
+            Cmd::Snapshot(reply) => {
+                let _ = reply.send((self.table.snapshot(), self.clock));
+                None
+            }
+            Cmd::Finish(seq, ack) => {
+                self.table.sweep(seq);
+                self.table.close_all(seq, &mut self.events);
+                Some(ack)
+            }
+        };
+        self.publish();
+        if let Some(ack) = ack {
+            let _ = ack.send(());
+        }
+    }
+
+    /// Send pending events and query deltas to the sink (when there is
+    /// one) and refresh the shard's rollups.
+    fn publish(&mut self) {
+        if let Some(sink) = &self.sink {
+            let mut deltas = Vec::new();
+            self.table.drain_query_deltas(&mut deltas);
+            if !self.events.is_empty() || !deltas.is_empty() {
+                // One lock-free send per processed command, not per event.
+                // A send fails only when the service side dropped the
+                // receiver (teardown); output is discarded then.
+                let _ = sink.send((std::mem::take(&mut self.events), deltas));
+            }
+        }
+        self.metrics.publish_table(&self.table.stats());
+    }
+
+    /// Move the output a sinkless (inline) core holds into the frontend's
+    /// pending buffers.
+    fn take_output(&mut self, events: &mut Vec<MultiStreamEvent>, deltas: &mut Vec<QueryDelta>) {
+        events.append(&mut self.events);
+        self.table.drain_query_deltas(deltas);
     }
 }
 
-enum Mode {
-    Inline {
-        // Boxed: a StreamTable is hundreds of bytes of inline headers
-        // and would otherwise dominate the enum's size even in sharded
-        // mode (clippy::large_enum_variant).
-        table: Box<StreamTable>,
-        events: Vec<MultiStreamEvent>,
-        metrics: Box<ShardMetrics>,
+/// The shards of a service: one core on the caller's thread, or one
+/// worker thread per shard fed through FIFO queues.
+enum Shards {
+    // Boxed: a StreamTable is hundreds of bytes of inline headers and
+    // would otherwise dominate the enum (clippy::large_enum_variant).
+    Inline(Box<ShardCore>),
+    Workers {
+        txs: Vec<Sender<Cmd>>,
+        workers: Vec<JoinHandle<()>>,
+        sink: mpsc::Receiver<ShardPublication>,
     },
-    Sharded(Sharded),
 }
 
 /// A sharded multi-stream periodicity-detection service.
@@ -590,17 +634,22 @@ enum Mode {
 /// # let _ = events;
 /// ```
 pub struct MultiStreamDpd {
-    mode: Mode,
-    config: ServiceConfig,
+    spec: ServiceSpec,
+    shards: Shards,
+    /// Registry handles of every shard's rollups (one inline), shared with
+    /// the cores that publish into them.
+    metrics: Vec<ShardMetrics>,
+    /// Published events not yet drained.
+    pending_events: Vec<MultiStreamEvent>,
+    /// Published query deltas not yet drained.
+    pending_deltas: Vec<QueryDelta>,
     /// Global sample clock: samples accepted across all streams.
     ingested: u64,
-    /// Samples since the last sweep (both modes: sweeps are scheduled by
-    /// the frontend on the global sample clock).
+    /// Samples since the last sweep (sweeps are scheduled here, on the
+    /// global sample clock, in both modes).
     since_sweep: u64,
-    /// Registry the rollups are exported through (shared with workers).
+    /// Registry the rollups are exported through.
     registry: Registry,
-    /// Inline-mode self-tracer (worker shards hold their own clones).
-    tracer: Option<SelfTracer>,
 }
 
 impl MultiStreamDpd {
@@ -619,42 +668,50 @@ impl MultiStreamDpd {
         builder: &DpdBuilder,
         obs: ServiceObs,
     ) -> Result<Self, BuildError> {
-        Ok(MultiStreamDpd::new_observed(
-            ServiceConfig::from_builder(builder)?,
-            obs,
-        ))
+        let spec = builder.service_spec()?;
+        let tables = (0..spec.shards.max(1))
+            .map(|_| (ShardCore::fresh_table(&spec), 0))
+            .collect();
+        Ok(MultiStreamDpd::start(spec, tables, 0, 0, obs))
     }
 
-    /// Start a service. `config.shards == 0` runs inline (no threads);
-    /// otherwise one worker thread per shard is spawned.
-    pub fn new(config: ServiceConfig) -> Self {
-        MultiStreamDpd::new_observed(config, ServiceObs::default())
-    }
-
-    /// [`MultiStreamDpd::new`] with explicit observability wiring.
-    pub fn new_observed(config: ServiceConfig, obs: ServiceObs) -> Self {
-        let mode = if config.shards == 0 {
-            let mut table = StreamTable::new(config.table);
-            table.attach_queries(config.queries.clone());
-            Mode::Inline {
-                table: Box::new(table),
-                events: Vec::new(),
-                metrics: Box::new(ShardMetrics::register(&obs.registry, 0)),
-            }
+    /// Build one core per `(table, clock)` entry and start the service:
+    /// inline when `spec.shards == 0`, otherwise one worker thread per
+    /// shard.
+    fn start(
+        spec: ServiceSpec,
+        tables: Vec<(StreamTable, u64)>,
+        ingested: u64,
+        since_sweep: u64,
+        obs: ServiceObs,
+    ) -> Self {
+        let (sink_tx, sink_rx) = mpsc::channel();
+        let sink = (spec.shards > 0).then_some(sink_tx);
+        let mut cores: Vec<ShardCore> = tables
+            .into_iter()
+            .enumerate()
+            .map(|(shard, (table, clock))| ShardCore::new(shard, table, clock, &obs, sink.clone()))
+            .collect();
+        let metrics = cores.iter().map(|core| core.metrics.clone()).collect();
+        let shards = if sink.is_none() {
+            Shards::Inline(Box::new(cores.pop().expect("one inline core")))
         } else {
-            Mode::Sharded(spawn_sharded(
-                &config,
-                (0..config.shards).map(|_| None).collect(),
-                &obs,
-            ))
+            let (txs, workers) = cores.into_iter().map(spawn_worker).unzip();
+            Shards::Workers {
+                txs,
+                workers,
+                sink: sink_rx,
+            }
         };
         MultiStreamDpd {
-            mode,
-            config,
-            ingested: 0,
-            since_sweep: 0,
+            spec,
+            shards,
+            metrics,
+            pending_events: Vec::new(),
+            pending_deltas: Vec::new(),
+            ingested,
+            since_sweep,
             registry: obs.registry,
-            tracer: obs.self_tracer,
         }
     }
 
@@ -665,12 +722,60 @@ impl MultiStreamDpd {
 
     /// Number of shards (`0` = inline mode).
     pub fn shards(&self) -> usize {
-        self.config.shards
+        self.spec.shards
     }
 
     /// Samples accepted so far (the global sample clock).
     pub fn samples_ingested(&self) -> u64 {
         self.ingested
+    }
+
+    /// Apply `cmd` to `shard`: at once on the caller's thread inline,
+    /// otherwise enqueued for the shard's worker. Queue traffic is counted
+    /// here and in the worker loop only, so inline reports zero.
+    fn send(&mut self, shard: usize, cmd: Cmd) {
+        match &mut self.shards {
+            Shards::Inline(core) => core.apply(cmd),
+            Shards::Workers { txs, .. } => {
+                if cmd.queued() {
+                    self.metrics[shard].queue_depth.add(1);
+                }
+                txs[shard].send(cmd).expect("shard worker exited early");
+            }
+        }
+    }
+
+    /// Send one barrier command to every shard and wait for each reply.
+    /// Queues are FIFO, so every earlier command has been applied and
+    /// published when the replies arrive.
+    fn barrier<T>(&mut self, cmd: impl Fn(mpsc::Sender<T>) -> Cmd) -> Vec<T> {
+        let replies: Vec<mpsc::Receiver<T>> = (0..self.metrics.len())
+            .map(|shard| {
+                let (tx, rx) = mpsc::channel();
+                self.send(shard, cmd(tx));
+                rx
+            })
+            .collect();
+        replies
+            .iter()
+            .map(|rx| rx.recv().expect("shard worker dropped a barrier reply"))
+            .collect()
+    }
+
+    /// Move everything published so far into the pending buffers
+    /// (non-blocking).
+    fn pump(&mut self) {
+        match &mut self.shards {
+            Shards::Inline(core) => {
+                core.take_output(&mut self.pending_events, &mut self.pending_deltas)
+            }
+            Shards::Workers { sink, .. } => {
+                for (events, deltas) in sink.try_iter() {
+                    self.pending_events.extend(events);
+                    self.pending_deltas.extend(deltas);
+                }
+            }
+        }
     }
 
     /// Ingest a batch of interleaved per-stream records.
@@ -682,69 +787,42 @@ impl MultiStreamDpd {
     /// [`MultiStreamDpd::flush`] to quiesce. Empty sample slices are
     /// ignored.
     pub fn ingest(&mut self, records: &[(StreamId, &[i64])]) {
-        match &mut self.mode {
-            Mode::Inline {
-                table,
-                events,
-                metrics,
-            } => {
-                let t0 = Instant::now();
-                for (stream, samples) in records {
-                    table.ingest(self.ingested, *stream, samples, events);
-                    self.ingested += samples.len() as u64;
-                    self.since_sweep += samples.len() as u64;
-                }
-                if self.config.sweep_every > 0 && self.since_sweep >= self.config.sweep_every {
-                    table.sweep(self.ingested);
-                    self.since_sweep = 0;
-                }
-                // One timing + one rollup publication per ingest call
-                // (not per sample): live scrapes stay fresh at batch
-                // granularity for nanoseconds of overhead.
-                let ns = t0.elapsed().as_nanos() as u64;
-                metrics.ingest_ns.record(ns);
-                if let Some(tracer) = &self.tracer {
-                    tracer.record_ns(0, ns);
-                }
-                metrics.publish_table(&table.stats());
-            }
-            Mode::Sharded(sh) => {
-                let shards = self.config.shards;
-                let swept_at = self.ingested - self.since_sweep;
-                let mut routed: Vec<Vec<Record>> = vec![Vec::new(); shards];
-                for (stream, samples) in records {
-                    if samples.is_empty() {
-                        continue;
-                    }
-                    routed[shard_of(*stream, shards)].push((
-                        self.ingested,
-                        *stream,
-                        samples.to_vec(),
-                    ));
-                    self.ingested += samples.len() as u64;
-                }
-                for (shard, batch) in routed.into_iter().enumerate() {
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    sh.stats[shard].queue_depth.add(1);
-                    sh.txs[shard]
-                        .send(Cmd::Batches(batch))
-                        .expect("shard worker exited early");
-                }
-                self.since_sweep = self.ingested - swept_at;
-                if self.config.sweep_every > 0 && self.since_sweep >= self.config.sweep_every {
-                    // Sweeps are frontend-scheduled in both modes: every
-                    // shard observes the watermark at the same global
-                    // clock, keeping eviction-driven query deltas
-                    // identical across shard counts.
-                    for tx in &sh.txs {
-                        tx.send(Cmd::Sweep(self.ingested))
-                            .expect("shard worker exited early");
-                    }
-                    self.since_sweep = 0;
+        let start = self.ingested;
+        let mut seq = start;
+        if let Shards::Inline(core) = &mut self.shards {
+            // Borrowed slices straight into the table: no copy inline.
+            core.ingest(records.iter().map(|&(stream, samples)| {
+                seq += samples.len() as u64;
+                (seq - samples.len() as u64, stream, samples)
+            }));
+            // One rollup publication per ingest call (not per sample):
+            // live scrapes stay fresh at batch granularity.
+            core.publish();
+        } else {
+            let shards = self.metrics.len();
+            let mut routed: Vec<Vec<Record>> = vec![Vec::new(); shards];
+            for &(stream, samples) in records {
+                if !samples.is_empty() {
+                    routed[shard_of(stream, shards)].push((seq, stream, samples.to_vec()));
+                    seq += samples.len() as u64;
                 }
             }
+            for (shard, batch) in routed.into_iter().enumerate() {
+                if !batch.is_empty() {
+                    self.send(shard, Cmd::Batches(batch));
+                }
+            }
+        }
+        self.ingested = seq;
+        self.since_sweep += seq - start;
+        if self.spec.sweep_every > 0 && self.since_sweep >= self.spec.sweep_every {
+            // Every shard observes the watermark at the same global clock,
+            // keeping eviction-driven query deltas identical across shard
+            // counts.
+            for shard in 0..self.metrics.len() {
+                self.send(shard, Cmd::Sweep(self.ingested));
+            }
+            self.since_sweep = 0;
         }
     }
 
@@ -757,54 +835,29 @@ impl MultiStreamDpd {
     /// an unknown (or already closed/evicted) stream is a silent no-op, in
     /// both modes.
     pub fn close(&mut self, stream: StreamId) {
-        match &mut self.mode {
-            Mode::Inline { table, events, .. } => {
-                table.close(self.ingested, stream, events);
-            }
-            Mode::Sharded(sh) => {
-                let shard = shard_of(stream, self.config.shards);
-                sh.stats[shard].queue_depth.add(1);
-                sh.txs[shard]
-                    .send(Cmd::Close(self.ingested, stream))
-                    .expect("shard worker exited early");
-            }
-        }
+        let shard = shard_of(stream, self.metrics.len());
+        self.send(shard, Cmd::Close(self.ingested, stream));
     }
 
-    /// Block until every routed record has been processed. No-op in inline
-    /// mode (ingestion is synchronous there). Workers park on their queue
-    /// condition variable while idle — quiescing burns no CPU.
+    /// Block until every routed record has been processed (immediate in
+    /// inline mode, where ingestion is synchronous). Workers park on their
+    /// queue condition variable while idle — quiescing burns no CPU.
     pub fn flush(&mut self) {
-        if let Mode::Sharded(sh) = &mut self.mode {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            for tx in &sh.txs {
-                tx.send(Cmd::Flush(ack_tx.clone()))
-                    .expect("shard worker exited early");
-            }
-            drop(ack_tx);
-            for _ in 0..sh.txs.len() {
-                ack_rx.recv().expect("shard worker dropped flush ack");
-            }
-        }
+        self.barrier(Cmd::Flush);
     }
 
     /// Drain every event published so far, in sink arrival order (per-shard
     /// and therefore per-stream order is preserved; events of different
     /// shards interleave arbitrarily). Non-blocking.
     pub fn drain(&mut self) -> Vec<MultiStreamEvent> {
-        match &mut self.mode {
-            Mode::Inline { events, .. } => std::mem::take(events),
-            Mode::Sharded(sh) => {
-                sh.pump();
-                std::mem::take(&mut sh.pending_events)
-            }
-        }
+        self.pump();
+        std::mem::take(&mut self.pending_events)
     }
 
     /// Standing queries registered on the service (empty unless the
     /// builder carried `standing_query(..)` calls).
     pub fn query_specs(&self) -> &[QuerySpec] {
-        &self.config.queries
+        &self.spec.queries
     }
 
     /// Drain every standing-query delta published so far. Per-stream
@@ -814,17 +867,8 @@ impl MultiStreamDpd {
     /// sharded mode quiesce with [`MultiStreamDpd::flush`] first to
     /// observe everything already routed.
     pub fn drain_query_deltas(&mut self) -> Vec<QueryDelta> {
-        match &mut self.mode {
-            Mode::Inline { table, .. } => {
-                let mut out = Vec::new();
-                table.drain_query_deltas(&mut out);
-                out
-            }
-            Mode::Sharded(sh) => {
-                sh.pump();
-                std::mem::take(&mut sh.pending_deltas)
-            }
-        }
+        self.pump();
+        std::mem::take(&mut self.pending_deltas)
     }
 
     /// Drain every event published so far into a unified-pipeline
@@ -843,21 +887,12 @@ impl MultiStreamDpd {
     /// Point-in-time per-shard rollups (lock-free reads; inline mode
     /// reports itself as a single shard with queue depth 0).
     ///
-    /// Both arms read *through the registry*: the inline arm publishes
-    /// the table's stats into its [`ShardMetrics`] and reads them back,
-    /// the sharded arm reads what the workers last published — so a
-    /// live `/metrics` scrape and this snapshot can never disagree.
+    /// Reads go *through the registry*: every shard publishes its table's
+    /// rollups after each command it applies, so a live `/metrics` scrape
+    /// and this snapshot can never disagree.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        match &self.mode {
-            Mode::Inline { table, metrics, .. } => {
-                metrics.publish_table(&table.stats());
-                ServiceSnapshot {
-                    shards: vec![metrics.snapshot()],
-                }
-            }
-            Mode::Sharded(sh) => ServiceSnapshot {
-                shards: sh.stats.iter().map(ShardMetrics::snapshot).collect(),
-            },
+        ServiceSnapshot {
+            shards: self.metrics.iter().map(ShardMetrics::snapshot).collect(),
         }
     }
 
@@ -876,27 +911,11 @@ impl MultiStreamDpd {
         mut self,
     ) -> (Vec<MultiStreamEvent>, Vec<QueryDelta>, ServiceSnapshot) {
         let final_seq = self.ingested;
-        match &mut self.mode {
-            Mode::Inline { table, events, .. } => {
-                table.sweep(final_seq);
-                table.close_all(final_seq, events);
-            }
-            Mode::Sharded(sh) => {
-                let (ack_tx, ack_rx) = mpsc::channel();
-                for tx in &sh.txs {
-                    tx.send(Cmd::Finish(final_seq, ack_tx.clone()))
-                        .expect("shard worker exited early");
-                }
-                drop(ack_tx);
-                for _ in 0..sh.txs.len() {
-                    ack_rx.recv().expect("shard worker dropped finish ack");
-                }
-            }
-        }
-        let snapshot = self.snapshot();
-        let events = self.drain();
-        let deltas = self.drain_query_deltas();
-        (events, deltas, snapshot)
+        self.barrier(|ack| Cmd::Finish(final_seq, ack));
+        self.pump();
+        let events = std::mem::take(&mut self.pending_events);
+        let deltas = std::mem::take(&mut self.pending_deltas);
+        (events, deltas, self.snapshot())
         // Drop joins the workers.
     }
 
@@ -920,28 +939,11 @@ impl MultiStreamDpd {
         path: impl AsRef<Path>,
         marker: EpochMarker,
     ) -> Result<Vec<MultiStreamEvent>, CheckpointError> {
-        self.flush();
-        let entries: Vec<(Vec<u8>, u64)> = match &mut self.mode {
-            Mode::Inline { table, .. } => {
-                vec![(table.snapshot(), self.ingested)]
-            }
-            Mode::Sharded(sh) => {
-                let mut acks = Vec::with_capacity(sh.txs.len());
-                for tx in &sh.txs {
-                    let (ack_tx, ack_rx) = mpsc::channel();
-                    tx.send(Cmd::Snapshot(ack_tx))
-                        .expect("shard worker exited early");
-                    acks.push(ack_rx);
-                }
-                acks.iter()
-                    .map(|rx| rx.recv().expect("shard worker dropped snapshot ack"))
-                    .collect()
-            }
-        };
+        let entries = self.barrier(Cmd::Snapshot);
         let events = self.drain();
         let mut w = SnapshotWriter::envelope(TAG_SERVICE);
-        w.u64(self.config.shards as u64);
-        w.u64(self.config.sweep_every);
+        w.u64(self.spec.shards as u64);
+        w.u64(self.spec.sweep_every);
         w.u64(self.ingested);
         w.u64(entries.len() as u64);
         for (bytes, clock) in &entries {
@@ -977,15 +979,15 @@ impl MultiStreamDpd {
     }
 
     /// [`MultiStreamDpd::resume`] with explicit observability wiring.
-    /// The restored rollups are published immediately (inline mode at
-    /// construction, worker shards at spawn), so a scrape right after
-    /// resume already reflects the checkpointed streams.
+    /// The restored rollups are published as each shard's core is built,
+    /// so a scrape right after resume already reflects the checkpointed
+    /// streams.
     pub fn resume_observed(
         builder: &DpdBuilder,
         path: impl AsRef<Path>,
         obs: ServiceObs,
     ) -> Result<(Self, EpochMarker), CheckpointError> {
-        let config = ServiceConfig::from_builder(builder)?;
+        let spec = builder.service_spec()?;
         let data = fs::read(path)?;
         let rec = recover(&data);
         let mut payload: Option<&[u8]> = None;
@@ -1002,79 +1004,37 @@ impl MultiStreamDpd {
         });
 
         let mut r = SnapshotReader::envelope(payload, TAG_SERVICE)?;
-        if r.u64()? as usize != config.shards {
+        if r.u64()? as usize != spec.shards {
             return Err(CheckpointError::ConfigMismatch {
                 what: "shard count",
             });
         }
-        if r.u64()? != config.sweep_every {
+        if r.u64()? != spec.sweep_every {
             return Err(CheckpointError::ConfigMismatch {
                 what: "sweep interval",
             });
         }
         let ingested = r.u64()?;
-        let expected = config.shards.max(1);
         let n = r.count(4096, "implausible shard-state count")?;
-        if n != expected {
+        if n != spec.shards.max(1) {
             return Err(CheckpointError::Snapshot(SnapshotError::Malformed {
                 what: "shard-state count disagrees with the shard count",
             }));
         }
-        let mut entries: Vec<(StreamTable, u64, u64)> = Vec::with_capacity(n);
+        let mut tables = Vec::with_capacity(n);
+        let mut since_sweep = 0;
         for _ in 0..n {
-            let bytes = r.bytes()?.to_vec();
+            let bytes = r.bytes()?;
             let clock = r.u64()?;
-            let since_sweep = r.u64()?;
-            let table = StreamTable::restore(&bytes)?;
-            if *table.config() != config.table {
-                return Err(CheckpointError::ConfigMismatch {
-                    what: "table configuration",
-                });
-            }
-            if table.query_specs() != config.queries.as_slice() {
-                return Err(CheckpointError::ConfigMismatch {
-                    what: "standing queries",
-                });
-            }
-            entries.push((table, clock, since_sweep));
-        }
-        r.finish()?;
-
-        let (mode, since_sweep) = if config.shards == 0 {
-            let (table, _clock, since_sweep) = entries.pop().expect("count checked above");
-            let metrics = Box::new(ShardMetrics::register(&obs.registry, 0));
-            metrics.publish_table(&table.stats());
-            (
-                Mode::Inline {
-                    table: Box::new(table),
-                    events: Vec::new(),
-                    metrics,
-                },
-                since_sweep,
-            )
-        } else {
             // Every entry stores the frontend's sweep phase; take the max
             // so checkpoints from older per-shard-scheduled builds resume
             // on a valid (if phase-shifted) cadence.
-            let since_sweep = entries.iter().map(|(_, _, s)| *s).max().unwrap_or(0);
-            let inits = entries
-                .into_iter()
-                .map(|(table, clock, _)| Some((table, clock)))
-                .collect();
-            (
-                Mode::Sharded(spawn_sharded(&config, inits, &obs)),
-                since_sweep,
-            )
-        };
+            since_sweep = since_sweep.max(r.u64()?);
+            tables.push((ShardCore::restore_table(bytes, &spec)?, clock));
+        }
+        r.finish()?;
         Ok((
-            MultiStreamDpd {
-                mode,
-                config,
-                ingested,
-                since_sweep,
-                registry: obs.registry,
-                tracer: obs.self_tracer,
-            },
+            MultiStreamDpd::start(spec, tables, ingested, since_sweep, obs),
             marker,
         ))
     }
@@ -1108,170 +1068,34 @@ fn write_checkpoint_file(
 
 impl Drop for MultiStreamDpd {
     fn drop(&mut self) {
-        if let Mode::Sharded(sh) = &mut self.mode {
-            sh.txs.clear(); // closing the queues stops the workers
-            for w in sh.workers.drain(..) {
+        if let Shards::Workers { txs, workers, .. } = &mut self.shards {
+            txs.clear(); // closing the queues stops the workers
+            for w in workers.drain(..) {
                 let _ = w.join();
             }
         }
     }
 }
 
-/// Restored state one shard worker starts from: its table, the highest
-/// global sample clock it had seen, and its sweep phase.
-type ShardInit = (StreamTable, u64);
-
-/// Spawn the worker threads of a sharded service. `inits[shard]` seeds the
-/// worker with checkpointed state ([`MultiStreamDpd::resume`]); `None`
-/// starts it on a fresh table.
-fn spawn_sharded(
-    config: &ServiceConfig,
-    inits: Vec<Option<ShardInit>>,
-    obs: &ServiceObs,
-) -> Sharded {
-    debug_assert_eq!(inits.len(), config.shards);
-    let (sink_tx, sink_rx) = mpsc::channel();
-    let stats: Arc<Vec<ShardMetrics>> = Arc::new(
-        (0..config.shards)
-            .map(|shard| ShardMetrics::register(&obs.registry, shard))
-            .collect(),
-    );
-    let mut txs = Vec::with_capacity(config.shards);
-    let mut workers = Vec::with_capacity(config.shards);
-    for (shard, init) in inits.into_iter().enumerate() {
-        let (tx, rx) = unbounded::<Cmd>();
-        let sink = sink_tx.clone();
-        let stats = Arc::clone(&stats);
-        let table_config = config.table;
-        let queries = config.queries.clone();
-        let tracer = obs.self_tracer.clone();
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("dpd-shard-{shard}"))
-                .spawn(move || {
-                    shard_worker(
-                        rx,
-                        sink,
-                        shard,
-                        &stats[shard],
-                        table_config,
-                        queries,
-                        init,
-                        tracer,
-                    )
-                })
-                .expect("failed to spawn shard worker"),
-        );
-        txs.push(tx);
-    }
-    Sharded {
-        txs,
-        workers,
-        sink: sink_rx,
-        stats,
-        pending_events: Vec::new(),
-        pending_deltas: Vec::new(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn shard_worker(
-    rx: crossbeam::channel::Receiver<Cmd>,
-    sink: mpsc::Sender<ShardPublication>,
-    shard: usize,
-    shared: &ShardMetrics,
-    table_config: TableConfig,
-    queries: Vec<QuerySpec>,
-    init: Option<ShardInit>,
-    tracer: Option<SelfTracer>,
-) {
-    let (mut table, mut clock) = match init {
-        // A restored table carries its query engine inside the snapshot.
-        Some((table, clock)) => (table, clock),
-        None => {
-            let mut table = StreamTable::new(table_config);
-            table.attach_queries(queries);
-            (table, 0u64)
-        }
-    };
-    let mut out: Vec<MultiStreamEvent> = Vec::new();
-    // Publish the starting rollups so a resumed service's `snapshot`
-    // reflects the restored streams before the first routed record.
-    publish(&mut table, shared, &mut out, &sink);
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Batches(records) => {
-                // One ingest-loop iteration = one routed batch. The
-                // timing feeds the per-shard histogram and, when a
-                // self-trace is attached, the DTB capture `dpd analyze`
-                // can point the detector back at.
-                let t0 = Instant::now();
-                for (seq, stream, samples) in records {
-                    clock = clock.max(seq + samples.len() as u64);
-                    table.ingest(seq, stream, &samples, &mut out);
+/// Spawn the worker thread that drives `core` from its command queue.
+fn spawn_worker(mut core: ShardCore) -> (Sender<Cmd>, JoinHandle<()>) {
+    let (tx, rx) = unbounded::<Cmd>();
+    let worker = std::thread::Builder::new()
+        .name(format!("dpd-shard-{}", core.shard))
+        .spawn(move || {
+            while let Ok(cmd) = rx.recv() {
+                let (queued, batch) = (cmd.queued(), matches!(cmd, Cmd::Batches(_)));
+                core.apply(cmd);
+                if queued {
+                    core.metrics.queue_depth.sub(1);
                 }
-                let ns = t0.elapsed().as_nanos() as u64;
-                shared.ingest_ns.record(ns);
-                if let Some(tracer) = &tracer {
-                    tracer.record_ns(shard, ns);
+                if batch {
+                    core.metrics.batches.inc();
                 }
-                shared.queue_depth.sub(1);
-                shared.batches.inc();
             }
-            Cmd::Sweep(seq) => {
-                clock = clock.max(seq);
-                table.sweep(seq);
-            }
-            Cmd::Close(seq, stream) => {
-                table.close(seq, stream, &mut out);
-                shared.queue_depth.sub(1);
-            }
-            Cmd::Flush(ack) => {
-                // FIFO queue: everything routed before this barrier has
-                // been processed and published below on the previous
-                // iterations; ack after publishing this round too.
-                publish(&mut table, shared, &mut out, &sink);
-                let _ = ack.send(());
-                continue;
-            }
-            Cmd::Snapshot(ack) => {
-                publish(&mut table, shared, &mut out, &sink);
-                let _ = ack.send((table.snapshot(), clock));
-                continue;
-            }
-            Cmd::Finish(seq, ack) => {
-                table.sweep(seq);
-                table.close_all(seq, &mut out);
-                publish(&mut table, shared, &mut out, &sink);
-                let _ = ack.send(());
-                continue;
-            }
-        }
-        publish(&mut table, shared, &mut out, &sink);
-    }
-}
-
-/// Push pending events and query deltas into the sink and refresh the
-/// shard's rollups.
-fn publish(
-    table: &mut StreamTable,
-    shared: &ShardMetrics,
-    out: &mut Vec<MultiStreamEvent>,
-    sink: &mpsc::Sender<ShardPublication>,
-) {
-    let mut deltas = Vec::new();
-    table.drain_query_deltas(&mut deltas);
-    if !out.is_empty() || !deltas.is_empty() {
-        // One lock-free send per processed command, not per event. A send
-        // fails only when the service side dropped the receiver
-        // (teardown); events are discarded then, matching inline `drop`.
-        let _ = sink.send((std::mem::take(out), deltas));
-    }
-    // Same accumulation point as the inline snapshot arm: map the table's
-    // stats through `ShardStats::from_table`, then publish into the
-    // registry cells (queue depth and batches are owned by the shard
-    // frontend/worker and left untouched here).
-    shared.publish_table(&table.stats());
+        })
+        .expect("failed to spawn shard worker");
+    (tx, worker)
 }
 
 #[cfg(test)]

@@ -20,8 +20,6 @@
 /// A removal from the public API turns into a compile error right here.
 #[allow(unused_imports)]
 mod exists {
-    // Deprecated compat shims are still part of the public surface until
-    // they are dropped in a major bump.
     mod facade_modules {
         pub use dpd::{analyzer, apps, core, interpose, obs, runtime, trace};
     }
@@ -84,7 +82,7 @@ mod exists {
     }
     mod service_items {
         pub use dpd::runtime::service::{
-            CheckpointError, MultiStreamDpd, ServiceConfig, ServiceObs, ServiceSnapshot, ShardStats,
+            CheckpointError, MultiStreamDpd, ServiceObs, ServiceSnapshot, ShardStats,
         };
     }
     mod obs_items {
@@ -242,7 +240,6 @@ const SURFACE: &[&str] = &[
     "dpd::runtime::net::ServeReport",
     "dpd::runtime::service::CheckpointError",
     "dpd::runtime::service::MultiStreamDpd",
-    "dpd::runtime::service::ServiceConfig",
     "dpd::runtime::service::ServiceObs",
     "dpd::runtime::service::ServiceSnapshot",
     "dpd::runtime::service::ShardStats",

@@ -1,29 +1,22 @@
-//! Differential property tests: every **deprecated constructor path** and
-//! its `DpdBuilder` replacement assemble bit-identical detector stacks.
+//! Differential property tests: the unified `DpdBuilder` pipeline (or the
+//! Table 1 interface, or the keyed pipeline) and the raw stack the same
+//! options build report bit-identical behaviour.
 //!
 //! For random segmented traces (phase changes included) and random
 //! configurations, each pair below must agree **byte for byte**: the full
 //! event sequences (compared structurally — every payload is integral),
 //! the running statistics, and the forecast `f64` accumulators (compared
 //! via `to_bits`, so even the floating-point operation *order* must
-//! match). This is the proof that the migration shims in the README table
-//! are pure renames, not behavior changes.
+//! match). This is the proof that the one event stream of
+//! [`DpdEvent`]s is a faithful view of every stack, not a reinterpretation.
 
-// This test exists to pin the deprecated paths against the builder, so it
-// intentionally calls them.
-#![allow(deprecated)]
-
-use dpd::core::capi::Dpd;
 use dpd::core::pipeline::{Detector, DpdBuilder, DpdEvent};
-use dpd::core::predict::{ForecastStats, ForecastingDpd};
-use dpd::core::shard::{MultiStreamEvent, StreamId, StreamTable, TableConfig};
-use dpd::core::streaming::{
-    MultiScaleDpd, SegmentEvent, StreamStats, StreamingConfig, StreamingDpd,
-};
-use dpd::runtime::service::{MultiStreamDpd, ServiceConfig};
+use dpd::core::predict::ForecastStats;
+use dpd::core::shard::StreamId;
+use dpd::core::streaming::{SegmentEvent, StreamStats};
+use dpd::runtime::service::MultiStreamDpd;
 use proptest::collection;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 /// Deterministic segmented event trace: a few phases, each periodic with
 /// its own alphabet, driven from random words.
@@ -64,57 +57,61 @@ fn assert_stream_stats_equal(a: &StreamStats, b: &StreamStats, ctx: &str) {
     assert_eq!(a, b, "{ctx}: detector stats");
 }
 
-/// Old `StreamingDpd::events` vs `DpdBuilder::build(sink)`: same events on
-/// the unified stream, same stats, same lock.
+/// Raw `build_detector` vs `build(sink)`: same events on the unified
+/// stream, same stats, same lock.
 fn check_streaming(data: &[i64], window: usize) {
-    let mut old = StreamingDpd::events(StreamingConfig::with_window(window));
-    let mut old_events = Vec::new();
+    let mut raw = DpdBuilder::new().window(window).build_detector().unwrap();
+    let mut raw_events = Vec::new();
     for &s in data {
-        let e = old.push(s);
+        let e = raw.push(s);
         if e != SegmentEvent::None {
-            old_events.push((StreamId(0), DpdEvent::Segment(e)));
+            raw_events.push((StreamId(0), DpdEvent::Segment(e)));
         }
     }
 
-    let mut new = DpdBuilder::new().window(window).build(Vec::new()).unwrap();
-    new.push_slice(data);
-    assert_eq!(new.sink(), &old_events, "streaming window={window}");
+    let mut pipe = DpdBuilder::new().window(window).build(Vec::new()).unwrap();
+    pipe.push_slice(data);
+    assert_eq!(pipe.sink(), &raw_events, "streaming window={window}");
     assert_stream_stats_equal(
-        new.streaming().unwrap().stats(),
-        old.stats(),
+        pipe.streaming().unwrap().stats(),
+        raw.stats(),
         &format!("streaming window={window}"),
     );
-    assert_eq!(new.locked_period(), old.locked_period());
+    assert_eq!(pipe.locked_period(), raw.locked_period());
 }
 
-/// Old `MultiScaleDpd::new` vs `DpdBuilder::scales(..).build(sink)`.
+/// Raw `build_multi_scale` bank vs `DpdBuilder::scales(..).build(sink)`.
 fn check_multi_scale(data: &[i64], scales: &[usize]) {
-    let mut old = MultiScaleDpd::new(scales).unwrap();
-    let mut old_events = Vec::new();
+    let mut raw = DpdBuilder::new()
+        .scales(scales)
+        .build_multi_scale()
+        .unwrap();
+    let mut raw_events = Vec::new();
     for &s in data {
-        for (window, event) in old.push(s).events {
-            old_events.push((StreamId(0), DpdEvent::Scale { window, event }));
+        for (window, event) in raw.push(s).events {
+            raw_events.push((StreamId(0), DpdEvent::Scale { window, event }));
         }
     }
 
-    let mut new = DpdBuilder::new().scales(scales).build(Vec::new()).unwrap();
-    new.push_slice(data);
-    assert_eq!(new.sink(), &old_events, "scales={scales:?}");
-    assert_eq!(new.detected_periods(), old.detected_periods());
+    let mut pipe = DpdBuilder::new().scales(scales).build(Vec::new()).unwrap();
+    pipe.push_slice(data);
+    assert_eq!(pipe.sink(), &raw_events, "scales={scales:?}");
+    assert_eq!(pipe.detected_periods(), raw.detected_periods());
 }
 
-/// Old `ForecastingDpd::events` vs the builder's forecasting pipeline:
+/// Raw `build_forecasting` bundle vs the builder's forecasting pipeline:
 /// segment/scored/invalidated events and the bit-exact forecast stats.
 fn check_forecasting(data: &[i64], window: usize, horizon: usize) {
-    let mut old = ForecastingDpd::events(StreamingConfig::with_window(window), horizon).unwrap();
-    let mut old_events: Vec<(StreamId, DpdEvent)> = Vec::new();
+    let builder = DpdBuilder::new().window(window).forecast(horizon);
+    let mut raw = builder.build_forecasting().unwrap();
+    let mut raw_events: Vec<(StreamId, DpdEvent)> = Vec::new();
     for &s in data {
-        let (e, ob) = old.push(s);
+        let (e, ob) = raw.push(s);
         if e != SegmentEvent::None {
-            old_events.push((StreamId(0), DpdEvent::Segment(e)));
+            raw_events.push((StreamId(0), DpdEvent::Segment(e)));
         }
         if ob.invalidated {
-            old_events.push((
+            raw_events.push((
                 StreamId(0),
                 DpdEvent::ForecastInvalidated {
                     dropped: ob.dropped,
@@ -122,7 +119,7 @@ fn check_forecasting(data: &[i64], window: usize, horizon: usize) {
             ));
         }
         if let Some(sc) = ob.scored {
-            old_events.push((
+            raw_events.push((
                 StreamId(0),
                 DpdEvent::ForecastScored {
                     predicted: sc.predicted,
@@ -133,47 +130,49 @@ fn check_forecasting(data: &[i64], window: usize, horizon: usize) {
         }
         if let Some((position, value)) = ob.issued {
             assert_eq!(
-                old.predictor().last_issued(),
+                raw.predictor().last_issued(),
                 Some((position, value)),
                 "issued observation disagrees with pending tail"
             );
-            old_events.push((StreamId(0), DpdEvent::ForecastIssued { position, value }));
+            raw_events.push((StreamId(0), DpdEvent::ForecastIssued { position, value }));
         }
     }
 
-    let mut new = DpdBuilder::new()
-        .window(window)
-        .forecast(horizon)
-        .build(Vec::new())
-        .unwrap();
-    new.push_slice(data);
+    let mut pipe = builder.build(Vec::new()).unwrap();
+    pipe.push_slice(data);
     let ctx = format!("forecasting window={window} horizon={horizon}");
-    assert_eq!(new.sink(), &old_events, "{ctx}");
+    assert_eq!(pipe.sink(), &raw_events, "{ctx}");
     assert_forecast_stats_bit_identical(
-        new.forecasting().unwrap().predictor().stats(),
-        old.predictor().stats(),
+        pipe.forecasting().unwrap().predictor().stats(),
+        raw.predictor().stats(),
         &ctx,
     );
     // The materialized forecast slices agree too.
-    let old_fc = old
+    let raw_fc = raw
         .forecast(horizon)
         .map(|f| (f.period, f.predicted.to_vec(), f.confidence.to_bits()));
-    let new_fc = new
+    let pipe_fc = pipe
         .forecast(horizon)
         .map(|f| (f.period, f.predicted.to_vec(), f.confidence.to_bits()));
-    assert_eq!(new_fc, old_fc, "{ctx}: forecast slice");
+    assert_eq!(pipe_fc, raw_fc, "{ctx}: forecast slice");
 }
 
-/// Old `Dpd::with_window` (Table 1 shim) vs `build_capi`: identical return
-/// values and period out-params, sample by sample.
+/// Table 1 `build_capi` vs the raw `build_detector`: `dpd` returns
+/// nonzero and writes the period exactly on the raw detector's period
+/// starts, sample by sample.
 fn check_capi(data: &[i64], window: usize) {
-    let mut old = Dpd::with_window(window);
-    let mut new = DpdBuilder::new().window(window).build_capi().unwrap();
-    let (mut po, mut pn) = (0i32, 0i32);
+    let mut raw = DpdBuilder::new().window(window).build_detector().unwrap();
+    let mut capi = DpdBuilder::new().window(window).build_capi().unwrap();
+    let mut period = -1i32;
     for &s in data {
-        let ro = old.dpd(s, &mut po);
-        let rn = new.dpd(s, &mut pn);
-        assert_eq!((ro, po), (rn, pn), "capi window={window}");
+        let before = period;
+        let ret = capi.dpd(s, &mut period);
+        match raw.push(s) {
+            SegmentEvent::PeriodStart { period: p, .. } => {
+                assert_eq!((ret, period), (1, p as i32), "capi window={window}")
+            }
+            _ => assert_eq!((ret, period), (0, before), "capi window={window}"),
+        }
     }
 }
 
@@ -197,60 +196,10 @@ fn schedule_from_words(words: &[u64], streams: u64) -> Schedule {
     out
 }
 
-/// Old `StreamTable` + `TableConfig::with_*` vs `build_keyed`: identical
-/// unified events and table rollups, including forecast counters.
-fn check_keyed(schedule: &Schedule, window: usize, evict_after: u64, horizon: usize) {
-    let config = if horizon > 0 {
-        TableConfig::with_eviction(window, evict_after).forecasting(horizon)
-    } else {
-        TableConfig::with_eviction(window, evict_after)
-    };
-    let mut old = StreamTable::new(config);
-    let mut old_raw = Vec::new();
-    let mut seq = 0u64;
-    for (stream, samples) in schedule {
-        old.ingest(seq, StreamId(*stream), samples, &mut old_raw);
-        seq += samples.len() as u64;
-    }
-    old.close_all(seq, &mut old_raw);
-    let old_events: Vec<(StreamId, DpdEvent)> =
-        old_raw.iter().map(DpdEvent::from_multi_stream).collect();
-
-    let mut builder = DpdBuilder::new().window(window).keyed();
-    if evict_after > 0 {
-        builder = builder.evict_after(evict_after);
-    }
-    if horizon > 0 {
-        builder = builder.forecast(horizon);
-    }
-    // sweep_every(0) keeps the lazy-eviction schedule of the raw loop
-    // above (KeyedDpd's default paces sweeps; sweeps never change events,
-    // but rollup eviction *counts* depend on the schedule).
-    let mut new = builder.sweep_every(0).build_keyed(Vec::new()).unwrap();
-    for (stream, samples) in schedule {
-        new.ingest(StreamId(*stream), samples);
-    }
-    new.close_all();
-    let ctx = format!("keyed window={window} evict={evict_after} horizon={horizon}");
-    assert_eq!(new.sink(), &old_events, "{ctx}");
-    assert_eq!(new.table().stats(), old.stats(), "{ctx}: rollups");
-    // Per-stream forecast accumulators, bit for bit.
-    for id in old.stream_ids() {
-        match (old.forecast_stats(id), new.table().forecast_stats(id)) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_forecast_stats_bit_identical(a, b, &format!("{ctx} stream {id}"))
-            }
-            (a, b) => panic!("{ctx} stream {id}: forecast stats diverge: {a:?} vs {b:?}"),
-        }
-    }
-}
-
-/// New table-scale options (memory budget, cold summaries): the raw
-/// `build_table` loop, the `build_keyed` pipeline and the deprecated
-/// `forecasting()` reconstruction shim all agree — identical unified
-/// events, rollups (including tier counters) and per-stream forecast
-/// accumulators.
+/// Table-scale options (eviction, forecasting, memory budget, cold
+/// summaries): the raw `build_table` loop and the `build_keyed` pipeline
+/// agree — identical unified events and rollups (including tier
+/// counters).
 fn check_keyed_tiered(
     schedule: &Schedule,
     window: usize,
@@ -280,25 +229,7 @@ fn check_keyed_tiered(
          budget_streams={budget_streams} horizon={horizon}"
     );
 
-    // The deprecated `forecasting()` shim must reconstruct the full config,
-    // budget and cold retention included.
-    let config = builder.table_config().unwrap();
-    if horizon > 0 {
-        let base = {
-            let mut b = DpdBuilder::new().window(window).keyed();
-            if evict_after > 0 {
-                b = b.evict_after(evict_after);
-            }
-            b = b.memory_budget(config.memory_budget);
-            if cold_retain > 0 {
-                b = b.cold_summary(cold_retain);
-            }
-            b.table_config().unwrap()
-        };
-        assert_eq!(base.forecasting(horizon), config, "{ctx}: forecasting shim");
-    }
-
-    let mut raw_table = StreamTable::new(config);
+    let mut raw_table = builder.build_table().unwrap();
     let mut raw_events = Vec::new();
     let mut seq = 0u64;
     for (stream, samples) in schedule {
@@ -321,37 +252,6 @@ fn check_keyed_tiered(
         st.promoted <= st.demoted,
         "{ctx}: promotions without demotions ({st:?})"
     );
-}
-
-fn by_stream(events: &[MultiStreamEvent]) -> BTreeMap<u64, Vec<MultiStreamEvent>> {
-    let mut m: BTreeMap<u64, Vec<MultiStreamEvent>> = BTreeMap::new();
-    for &e in events {
-        m.entry(e.stream().0).or_default().push(e);
-    }
-    m
-}
-
-/// Old `MultiStreamDpd::new(ServiceConfig::with_window(..))` vs
-/// `MultiStreamDpd::from_builder`: identical per-stream event sequences
-/// and identical totals, for inline and sharded modes.
-fn check_service(schedule: &Schedule, shards: usize, window: usize) {
-    let run = |mut svc: MultiStreamDpd| {
-        for (stream, samples) in schedule {
-            svc.ingest(&[(StreamId(*stream), samples.as_slice())]);
-        }
-        svc.finish()
-    };
-    let (old_events, old_snap) = run(MultiStreamDpd::new(ServiceConfig::with_window(
-        shards, window,
-    )));
-    let (new_events, new_snap) = run(MultiStreamDpd::from_builder(
-        &DpdBuilder::new().window(window).shards(shards),
-    )
-    .unwrap());
-    let ctx = format!("service shards={shards} window={window}");
-    assert_eq!(by_stream(&new_events), by_stream(&old_events), "{ctx}");
-    assert_eq!(new_snap.total().samples, old_snap.total().samples, "{ctx}");
-    assert_eq!(new_snap.total().events, old_snap.total().events, "{ctx}");
 }
 
 /// `MultiStreamDpd::drain_into` delivers exactly `drain()`'s events,
@@ -415,7 +315,7 @@ fn unit_sink_keeps_stack_behavior() {
 }
 
 proptest! {
-    /// Plain streaming stack: old constructor vs builder, random traces
+    /// Plain streaming stack: raw detector vs pipeline, random traces
     /// and windows.
     #[test]
     fn streaming_builder_bit_identical(
@@ -426,39 +326,7 @@ proptest! {
         check_streaming(&data, 1usize << window_pow);
     }
 
-    /// Magnitude stack: old constructor vs builder — same type, so the
-    /// whole event sequence and final spectrum must agree.
-    #[test]
-    fn magnitudes_builder_bit_identical(
-        words in collection::vec(any::<u64>(), 1..5),
-        window in 4usize..40,
-    ) {
-        let data: Vec<f64> = trace_from_words(&words)
-            .iter()
-            .map(|&v| (v % 97) as f64 * 0.5)
-            .collect();
-        let mut old = StreamingDpd::magnitudes(StreamingConfig::magnitudes(window));
-        let mut new = DpdBuilder::new()
-            .window(window)
-            .magnitudes()
-            .build_magnitude_detector()
-            .unwrap();
-        for &s in &data {
-            prop_assert_eq!(old.push(s), new.push(s));
-        }
-        prop_assert_eq!(old.stats(), new.stats());
-        let (os, ns) = (old.spectrum(), new.spectrum());
-        for m in 1..=window {
-            prop_assert_eq!(
-                os.at(m).map(f64::to_bits),
-                ns.at(m).map(f64::to_bits),
-                "d({}) bits",
-                m
-            );
-        }
-    }
-
-    /// Multi-scale stack: old bank vs builder pipeline.
+    /// Multi-scale stack: raw bank vs builder pipeline.
     #[test]
     fn multi_scale_builder_bit_identical(
         words in collection::vec(any::<u64>(), 1..6),
@@ -469,7 +337,7 @@ proptest! {
         check_multi_scale(&data, &[small, large]);
     }
 
-    /// Forecasting stack: old bundle vs builder pipeline, incl. bit-exact
+    /// Forecasting stack: raw bundle vs builder pipeline, incl. bit-exact
     /// f64 accumulators and forecast slices.
     #[test]
     fn forecasting_builder_bit_identical(
@@ -481,7 +349,7 @@ proptest! {
         check_forecasting(&data, 1usize << window_pow, horizon);
     }
 
-    /// Table 1 C-style interface: shim vs builder.
+    /// Table 1 C-style interface vs the raw detector.
     #[test]
     fn capi_builder_bit_identical(
         words in collection::vec(any::<u64>(), 1..5),
@@ -491,24 +359,8 @@ proptest! {
         check_capi(&data, window);
     }
 
-    /// Keyed table: deprecated TableConfig constructors vs build_keyed,
-    /// with eviction and per-stream forecasting in play.
-    #[test]
-    fn keyed_builder_bit_identical(
-        words in collection::vec(any::<u64>(), 1..20),
-        window in 2usize..24,
-        evict_sel in 0u64..2,
-        evict_raw in 20u64..200,
-        horizon in 0usize..4,
-    ) {
-        let evict = if evict_sel == 0 { 0 } else { evict_raw };
-        let schedule = schedule_from_words(&words, 5);
-        check_keyed(&schedule, window, evict, horizon);
-    }
-
     /// Table-scale options: memory budget and cold summaries behave
-    /// identically through the raw table, the keyed pipeline and the
-    /// deprecated `forecasting()` reconstruction shim.
+    /// identically through the raw table and the keyed pipeline.
     #[test]
     fn tiered_table_paths_bit_identical(
         words in collection::vec(any::<u64>(), 1..16),
@@ -526,17 +378,5 @@ proptest! {
         let budget_streams = if cold > 0 && evict == 0 { budget_streams.max(2) } else { budget_streams };
         let schedule = schedule_from_words(&words, 5);
         check_keyed_tiered(&schedule, window, evict, cold, budget_streams, horizon);
-    }
-
-    /// Sharded service: deprecated ServiceConfig constructors vs
-    /// from_builder, inline and threaded.
-    #[test]
-    fn service_builder_bit_identical(
-        words in collection::vec(any::<u64>(), 1..12),
-        shards in 0usize..4,
-        window in 4usize..32,
-    ) {
-        let schedule = schedule_from_words(&words, 6);
-        check_service(&schedule, shards, window);
     }
 }

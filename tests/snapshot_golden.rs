@@ -2,7 +2,8 @@
 //!
 //! `tests/fixtures/golden/snapshots.hex` holds, one per line as
 //! `name hex`, the snapshot envelopes of an event detector mid-warmup, the
-//! same detector in steady state, and a small forecasting stream table.
+//! same detector in steady state and a small forecasting stream table,
+//! then the checkpoint files of one service run inline and on two shards.
 //! The fixture was written once and is never regenerated by an ordinary
 //! test run: every build must produce exactly these bytes from the same
 //! input, restore them, and re-snapshot them byte-identically. Round-trip
@@ -18,10 +19,13 @@
 
 use dpd::core::metric::EventMetric;
 use dpd::core::pipeline::DpdBuilder;
+use dpd::core::query::QuerySpec;
 use dpd::core::shard::StreamId;
 use dpd::core::snapshot::{Restore, Snapshot, SnapshotError, SnapshotReader, TAG_DETECTOR};
 use dpd::core::streaming::StreamingDpd;
-use std::path::PathBuf;
+use dpd::runtime::service::MultiStreamDpd;
+use dpd::trace::pile::EpochMarker;
+use std::path::{Path, PathBuf};
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden/snapshots.hex")
@@ -41,6 +45,76 @@ fn table_builder() -> DpdBuilder {
     DpdBuilder::new().window(8).forecast(2).keyed()
 }
 
+/// Forecasting, idle eviction (sweeps every 240 samples) and two
+/// standing queries.
+fn service_builder(shards: usize) -> DpdBuilder {
+    DpdBuilder::new()
+        .window(8)
+        .forecast(2)
+        .evict_after(60)
+        .standing_query(QuerySpec::PeriodInRange { lo: 2, hi: 4 })
+        .standing_query(QuerySpec::LockLostWithin { window: 40 })
+        .shards(shards)
+}
+
+/// Fresh checkpoint path for `tag` in this process's temp directory.
+fn checkpoint_path(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dpd-golden-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("service.snap")
+}
+
+/// Checkpoint `svc` to `path` under `marker` and read the file back.
+fn checkpoint_bytes(svc: &mut MultiStreamDpd, path: &Path, marker: EpochMarker) -> Vec<u8> {
+    svc.checkpoint(path, marker).unwrap();
+    std::fs::read(path).unwrap()
+}
+
+/// A fixed schedule: four streams in waves of 10 samples, stream 4 stops
+/// after wave 1 and is evicted by the sweep at 240 samples, stream 1 is
+/// closed after wave 4; checkpoint after wave 12.
+fn service_checkpoint(shards: usize) -> Vec<u8> {
+    let mut svc = MultiStreamDpd::from_builder(&service_builder(shards)).unwrap();
+    for wave in 0..12usize {
+        // (stream, period, last wave with samples)
+        let owned: Vec<(StreamId, Vec<i64>)> =
+            [(1u64, 3usize, 4), (2, 4, 11), (3, 7, 11), (4, 2, 1)]
+                .into_iter()
+                .filter(|&(_, _, last)| wave <= last)
+                .map(|(id, period, _)| {
+                    let samples = (wave * 10..wave * 10 + 10)
+                        .map(|i| 0x100 * id as i64 + (i % period) as i64)
+                        .collect();
+                    (StreamId(id), samples)
+                })
+                .collect();
+        let records: Vec<(StreamId, &[i64])> =
+            owned.iter().map(|(s, v)| (*s, v.as_slice())).collect();
+        svc.ingest(&records);
+        if wave == 4 {
+            svc.close(StreamId(1));
+        }
+    }
+    svc.flush();
+    let stats = svc.snapshot().total();
+    assert_eq!((stats.evicted, stats.closed), (1, 1));
+    let marker = EpochMarker {
+        wave: 12,
+        samples: svc.samples_ingested(),
+        ordinal: 1,
+    };
+    checkpoint_bytes(&mut svc, &checkpoint_path(&format!("gen-{shards}")), marker)
+}
+
+/// Resume a golden service checkpoint and checkpoint it again under the
+/// epoch marker it carried.
+fn recheckpoint(shards: usize, bytes: &[u8]) -> Vec<u8> {
+    let path = checkpoint_path(&format!("resume-{shards}"));
+    std::fs::write(&path, bytes).unwrap();
+    let (mut svc, marker) = MultiStreamDpd::resume(&service_builder(shards), &path).unwrap();
+    checkpoint_bytes(&mut svc, &path, marker)
+}
+
 /// Address-like period-5 stream with one inserted sample at 37.
 fn addresses(len: usize) -> Vec<i64> {
     let mut out: Vec<i64> = (0..len)
@@ -51,7 +125,7 @@ fn addresses(len: usize) -> Vec<i64> {
     out
 }
 
-/// The three fixture envelopes, built from scratch by this build.
+/// The fixture entries, built from scratch by this build.
 fn generate() -> Vec<(&'static str, Vec<u8>)> {
     let data = addresses(120);
     let mut dpd = detector_builder().build_detector().unwrap();
@@ -82,6 +156,8 @@ fn generate() -> Vec<(&'static str, Vec<u8>)> {
         ("detector_warmup", warmup),
         ("detector_steady", steady),
         ("table_forecast", table.snapshot()),
+        ("service_shards0", service_checkpoint(0)),
+        ("service_shards2", service_checkpoint(2)),
     ]
 }
 
@@ -133,6 +209,8 @@ fn golden_snapshots_restore_and_resnapshot_byte_identically() {
     for (name, bytes) in load() {
         let again = match name.as_str() {
             "table_forecast" => table_builder().restore_table(&bytes).unwrap().snapshot(),
+            "service_shards0" => recheckpoint(0, &bytes),
+            "service_shards2" => recheckpoint(2, &bytes),
             _ => detector_builder()
                 .restore_detector(&bytes)
                 .unwrap()
