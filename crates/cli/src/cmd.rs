@@ -4,8 +4,10 @@
 //! `--flag value` pairs plus at most one positional trace-file path.
 
 use dpd_core::detector::FrameDetector;
-use dpd_core::pipeline::DpdBuilder;
-use dpd_core::segmentation::segment_events;
+use dpd_core::metric::EventMetric;
+use dpd_core::minima::MinimaPolicy;
+use dpd_core::pipeline::{DpdBuilder, DEFAULT_SCALES};
+use dpd_core::segmentation::Segmenter;
 use dpd_core::shard::{MultiStreamEvent, StreamId};
 use dpd_trace::io::TraceFormat;
 use dpd_trace::pile::{EpochMarker, PileFrame, PileWriter};
@@ -374,7 +376,7 @@ fn fmt_name(f: TraceFormat) -> &'static str {
 fn analyze(flags: &Flags) -> Result<String, String> {
     let trace = load_events(flags)?;
     let scales: Vec<usize> = match flags.get("scales") {
-        None => vec![8, 64, 512],
+        None => DEFAULT_SCALES.to_vec(),
         Some(s) => s
             .split(',')
             .map(|p| p.trim().parse().map_err(|_| format!("bad scale {p:?}")))
@@ -406,7 +408,8 @@ fn analyze(flags: &Flags) -> Result<String, String> {
 fn spectrum(flags: &Flags) -> Result<String, String> {
     let trace = load_events(flags)?;
     let window = flags.get_usize("window", 128)?;
-    let det = FrameDetector::events(window);
+    let det = FrameDetector::new(EventMetric, window, window, MinimaPolicy::exact())
+        .map_err(|e| e.to_string())?;
     let report = det
         .analyze(&trace.values)
         .map_err(|e| format!("analysis failed: {e}"))?;
@@ -421,7 +424,16 @@ fn spectrum(flags: &Flags) -> Result<String, String> {
 fn segment(flags: &Flags) -> Result<String, String> {
     let trace = load_events(flags)?;
     let window = flags.get_usize("window", 64)?;
-    let (segments, marks) = segment_events(&trace.values, window);
+    let mut dpd = DpdBuilder::new()
+        .window(window)
+        .build_detector()
+        .map_err(|e| e.to_string())?;
+    let mut seg = Segmenter::new();
+    for event in dpd.push_slice(&trace.values) {
+        seg.observe(event);
+    }
+    let marks = seg.marks().to_vec();
+    let segments = seg.finish();
     let mut out = String::new();
     writeln!(
         out,
@@ -1226,6 +1238,23 @@ mod tests {
         let out = dispatch(&argv(&format!("analyze {path_s} --scales 8,64,512"))).unwrap();
         // nested_events(5, 10, 11, _): outer period 115, inner 10.
         assert!(out.contains("[10, 115]"), "{out}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn segment_and_spectrum_reject_window_zero() {
+        let dir = std::env::temp_dir().join("dpd-cli-window-zero-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("p.trace");
+        let path_s = path.to_str().unwrap().to_string();
+        dispatch(&argv(&format!(
+            "generate --kind periodic --period 7 --len 400 --out {path_s}"
+        )))
+        .unwrap();
+        for cmd in ["segment", "spectrum"] {
+            let err = dispatch(&argv(&format!("{cmd} {path_s} --window 0"))).unwrap_err();
+            assert!(err.contains("invalid DPD window size: 0"), "{cmd}: {err}");
+        }
         std::fs::remove_file(path).ok();
     }
 

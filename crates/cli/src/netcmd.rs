@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 pub const SERVE_USAGE: &str = "usage: dpd serve [flags]
 
 Serve the multi-stream detector over TCP. Clients speak the DTB
-container format as the wire protocol (docs/FORMAT.md \u{a7}10): the server
+container format as the wire protocol (docs/FORMAT.md \u{a7}11): the server
 sends a 6-byte handshake on accept, the client streams DTB bytes, and
 the server acknowledges ingested samples with 8-byte cumulative counts.
 

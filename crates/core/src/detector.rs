@@ -155,14 +155,22 @@ impl<M: Clone> FrameDetector<M> {
 
 impl FrameDetector<crate::metric::EventMetric> {
     /// Event-stream detector (equation 2) with the exact-zero policy.
+    ///
+    /// # Panics
+    /// Panics if `n` is zero; [`FrameDetector::new`] reports that as an
+    /// error instead.
     pub fn events(n: usize) -> Self {
         FrameDetector::new(crate::metric::EventMetric, n, n, MinimaPolicy::exact())
-            .expect("square config is always valid")
+            .expect("frame size must be non-zero")
     }
 }
 
 impl FrameDetector<crate::metric::L1Metric> {
     /// Magnitude-stream detector (equation 1) with a relative-minimum policy.
+    ///
+    /// # Panics
+    /// Panics if `n` is zero; [`FrameDetector::new`] reports that as an
+    /// error instead.
     pub fn magnitudes(n: usize, relative_threshold: f64) -> Self {
         FrameDetector::new(
             crate::metric::L1Metric,
@@ -170,7 +178,7 @@ impl FrameDetector<crate::metric::L1Metric> {
             n,
             MinimaPolicy::relative(relative_threshold),
         )
-        .expect("square config is always valid")
+        .expect("frame size must be non-zero")
     }
 }
 
@@ -255,8 +263,6 @@ mod tests {
         let report = det.analyze(&data).unwrap();
         // Full-window exact zeros exist only at 12, 24, 36, 48 -> fundamental 12.
         assert_eq!(report.period(), Some(12));
-        // The inner structure appears in the mismatch-fraction spectrum as a
-        // dip at m=3 (verified in nested.rs tests).
     }
 
     #[test]

@@ -25,14 +25,15 @@
 //! * [`streaming::StreamingDpd`] — the on-line detector with per-sample cost
 //!   `O(M)` that performs **segmentation** of the stream into periods (the
 //!   semantics of the paper's `int DPD(long sample, int *period)` interface),
-//! * [`nested::NestedDetector`] / [`streaming::MultiScaleDpd`] — detection of
-//!   nested iterative structures (hydro2d/turb3d in the paper's Table 2),
-//! * [`prediction::PeriodicPredictor`] — prediction of future stream values
-//!   from the detected period (paper §1, application 3),
-//! * [`predict::Predictor`] / [`predict::ForecastingDpd`] — the online
-//!   forecasting subsystem: allocation-free per-stream forecasts with
-//!   confidence scoring and phase-change invalidation (see
-//!   `docs/PREDICTION.md`),
+//! * [`streaming::MultiScaleDpd`] — a bank of detectors at several window
+//!   sizes that finds nested iterative structures (hydro2d/turb3d in the
+//!   paper's Table 2),
+//! * [`segmentation::Segmenter`] — the stream cut into whole periods
+//!   (paper §1, application 1; Fig. 7),
+//! * [`predict::Predictor`] / [`predict::ForecastingDpd`] — prediction of
+//!   future stream values from the detected period (paper §1,
+//!   application 3): allocation-free per-stream forecasts with confidence
+//!   scoring and phase-change invalidation (see `docs/PREDICTION.md`),
 //! * [`query::QueryEngine`] — delta-evaluated standing queries
 //!   (period-in-range, lock-lost-within, confidence thresholds, period
 //!   joins) answered incrementally from event deltas (see
@@ -73,18 +74,13 @@
 pub mod autotune;
 pub mod baseline;
 pub mod capi;
-pub mod confidence;
 pub mod detector;
-pub mod hierarchy;
 pub mod incremental;
-pub mod intervals;
 pub mod metric;
 pub mod minima;
-pub mod nested;
 pub mod periodogram;
 pub mod pipeline;
 pub mod predict;
-pub mod prediction;
 pub mod query;
 pub mod segmentation;
 pub mod shard;
@@ -93,18 +89,11 @@ pub mod spectrum;
 pub mod streaming;
 pub mod window;
 
-/// The naive full-history periodic predictor, re-exported under a name
-/// that distinguishes it from the normative online forecasting subsystem
-/// in [`predict`]: `naive::PeriodicPredictor` is the simple period-locked
-/// baseline (`docs/PREDICTION.md` states which module is normative).
-pub use self::prediction as naive;
-
 pub use capi::Dpd;
 pub use detector::{FrameDetector, PeriodicityReport};
 pub use metric::{EventMetric, L1Metric, Metric};
 pub use pipeline::{BuildError, Detector, DpdBuilder, DpdEvent, EventSink};
 pub use predict::{Forecast, ForecastStats, ForecastingDpd, PredictConfig, Predictor};
-pub use prediction::PeriodicPredictor;
 pub use query::{QueryChange, QueryDelta, QueryEngine, QueryId, QuerySpec};
 pub use shard::{
     MultiStreamEvent, StreamHandle, StreamId, StreamSummary, StreamTable, StreamTier, TableConfig,

@@ -116,41 +116,6 @@ impl<T: PartialEq + Copy> Metric<T> for EventMetric {
     }
 }
 
-/// A "raw mismatch count" variant of the event metric.
-///
-/// Identical pair contribution to [`EventMetric`] but `finalize` returns the
-/// *fraction* of mismatching positions instead of its sign. Useful for
-/// diagnosing near-periodic event streams (e.g. how far a window is from
-/// locking) and for confidence scoring; the paper's detector only needs the
-/// sign, but its tech-report companion discusses mismatch magnitudes.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MismatchFraction;
-
-impl<T: PartialEq + Copy> Metric<T> for MismatchFraction {
-    #[inline]
-    fn pair(&self, current: T, delayed: T) -> f64 {
-        if current == delayed {
-            0.0
-        } else {
-            1.0
-        }
-    }
-
-    #[inline]
-    fn finalize(&self, pair_sum: f64, n_pairs: usize) -> f64 {
-        if n_pairs == 0 {
-            1.0
-        } else {
-            pair_sum / n_pairs as f64
-        }
-    }
-
-    #[inline]
-    fn exact(&self) -> bool {
-        true
-    }
-}
-
 /// Compute `d(m)` of a slice directly from the definition (no incremental
 /// state). The frame is the trailing `n` samples of `data`; the delayed
 /// samples `x[n-m]` come from the preceding history inside `data`.
@@ -217,12 +182,6 @@ mod tests {
         let m = EventMetric;
         assert_eq!(Metric::<i64>::pair(&m, 42, 42), 0.0);
         assert_eq!(Metric::<i64>::pair(&m, 42, 43), 1.0);
-    }
-
-    #[test]
-    fn mismatch_fraction_scales() {
-        let m = MismatchFraction;
-        assert_eq!(Metric::<i64>::finalize(&m, 2.0, 8), 0.25);
     }
 
     #[test]

@@ -10,13 +10,10 @@
 //! [`ForecastingDpd`] bundles detector + predictor into one
 //! push-per-sample object.
 //!
-//! This module is the **normative** forecasting subsystem (contract in
-//! `docs/PREDICTION.md`). The similarly named
-//! [`prediction`](crate::prediction) module — re-exported as
-//! [`crate::naive`] — is the *naive* full-history baseline: a simple
-//! period-locked extension with no confidence tracking and no phase-change
-//! invalidation, kept as the reference oracle the property tests compare
-//! this subsystem against.
+//! This module is the crate's only forecaster (contract in
+//! `docs/PREDICTION.md`). Its differential oracle is the test-local
+//! `NaiveForecaster` in `tests/proptest_predict.rs`, a from-scratch
+//! full-history implementation of the same contract.
 //!
 //! # Model
 //!

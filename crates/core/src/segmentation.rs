@@ -118,6 +118,11 @@ impl Segmenter {
 
 /// Run a fresh event-stream detector over `data` and return the segmentation
 /// together with the per-sample events (Figure 7 helper).
+///
+/// # Panics
+/// Panics if `window` is zero; build the detector with
+/// [`DpdBuilder`](crate::pipeline::DpdBuilder) and feed a [`Segmenter`] to
+/// get that as an error instead.
 pub fn segment_events(data: &[i64], window: usize) -> (Vec<Segment>, Vec<u64>) {
     let mut dpd = crate::pipeline::DpdBuilder::new()
         .window(window)

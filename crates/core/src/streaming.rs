@@ -577,7 +577,7 @@ impl MultiScaleEvent {
 
 impl MultiScaleDpd {
     /// Engine-level bank construction (windows ascending recommended),
-    /// used by the builder and the nested/hierarchy analyses.
+    /// used by the builder.
     pub(crate) fn from_windows(windows: &[usize]) -> crate::Result<Self> {
         if windows.is_empty() {
             return Err(crate::DpdError::InvalidWindow(0));

@@ -133,11 +133,6 @@ impl<T: Copy> RingWindow<T> {
         out
     }
 
-    /// Iterate over retained samples from newest (`age 0`) to oldest.
-    pub fn iter_newest_first(&self) -> impl Iterator<Item = T> + '_ {
-        (0..self.len).map(move |age| self.ago_unchecked(age))
-    }
-
     /// Drop all retained samples but keep the capacity and push counter.
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -150,24 +145,6 @@ impl<T: Copy> RingWindow<T> {
     /// serialized, even though its contents were re-pushed here).
     pub(crate) fn set_pushed(&mut self, n: u64) {
         self.pushed = n;
-    }
-
-    /// Grow or shrink the retention capacity, preserving the most recent
-    /// samples that fit. Used by the dynamic window-size interface
-    /// (`DPDWindowSize`, paper Table 1).
-    pub fn resize(&mut self, new_capacity: usize) {
-        assert!(new_capacity > 0, "RingWindow capacity must be non-zero");
-        if new_capacity == self.cap {
-            return;
-        }
-        let keep = self.len.min(new_capacity);
-        let mut newest_first: Vec<T> = (0..keep).map(|a| self.ago_unchecked(a)).collect();
-        newest_first.reverse(); // oldest-first now
-        self.buf = Vec::with_capacity(new_capacity);
-        self.buf.extend(newest_first.iter().copied());
-        self.cap = new_capacity;
-        self.head = self.buf.len() % new_capacity;
-        self.len = keep;
     }
 }
 
@@ -398,16 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_newest_first_order() {
-        let mut w = RingWindow::new(3);
-        for v in [1i64, 2, 3] {
-            w.push(v);
-        }
-        let got: Vec<i64> = w.iter_newest_first().collect();
-        assert_eq!(got, vec![3, 2, 1]);
-    }
-
-    #[test]
     fn clear_preserves_capacity_and_counter() {
         let mut w = RingWindow::new(3);
         w.push(1i64);
@@ -418,41 +385,6 @@ mod tests {
         assert_eq!(w.pushed(), 2);
         w.push(5);
         assert_eq!(w.ago(0), Some(5));
-    }
-
-    #[test]
-    fn resize_shrink_keeps_newest() {
-        let mut w = RingWindow::new(5);
-        for v in 1..=5i64 {
-            w.push(v);
-        }
-        w.resize(2);
-        assert_eq!(w.capacity(), 2);
-        assert_eq!(w.to_vec(), vec![4, 5]);
-        w.push(6);
-        assert_eq!(w.to_vec(), vec![5, 6]);
-    }
-
-    #[test]
-    fn resize_grow_keeps_contents() {
-        let mut w = RingWindow::new(2);
-        for v in [1i64, 2, 3] {
-            w.push(v);
-        }
-        w.resize(4);
-        assert_eq!(w.to_vec(), vec![2, 3]);
-        w.push(4);
-        w.push(5);
-        w.push(6);
-        assert_eq!(w.to_vec(), vec![3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn resize_same_capacity_is_noop() {
-        let mut w = RingWindow::new(3);
-        w.push(1i64);
-        w.resize(3);
-        assert_eq!(w.to_vec(), vec![1]);
     }
 
     #[test]

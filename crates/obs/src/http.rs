@@ -4,8 +4,10 @@
 //! async runtime — a `std::net` accept loop on its own thread,
 //! answering `GET /metrics` with the registry's rendered page.
 //! Scrapes are rare (seconds apart) and the render is a single pass
-//! over pre-aggregated atomics, so connections are served serially;
-//! a read timeout bounds how long a stalled client can hold the loop.
+//! over pre-aggregated atomics, so connections are served serially.
+//! Each request has one deadline, `CLIENT_TIMEOUT` after accept, and
+//! every read and write waits at most for the time left until it, so a
+//! stalled or trickling client holds the loop for at most that long.
 //!
 //! [`scrape`] is the matching minimal client, used by `dpd stats` and
 //! the serve-smoke CI check.
@@ -15,14 +17,15 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::registry::Registry;
 
 /// Longest request head we will buffer before giving up on a client.
 const MAX_REQUEST: usize = 8 * 1024;
 
-/// How long a scraper may dawdle before we drop it.
+/// How long one request may take, from accept to the last byte of the
+/// response, before we drop the client.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Serves `GET /metrics` for one [`Registry`] on its own thread.
@@ -112,15 +115,20 @@ fn accept_loop(
 }
 
 fn serve_one(mut sock: TcpStream, registry: &Registry, scrapes: &AtomicU64) -> io::Result<()> {
-    sock.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-    sock.set_write_timeout(Some(CLIENT_TIMEOUT))?;
+    let deadline = Instant::now() + CLIENT_TIMEOUT;
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
     // Read until the blank line that ends the request head.
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
         if head.len() > MAX_REQUEST {
-            return respond(&mut sock, "400 Bad Request", "request too large\n");
+            return respond(
+                &mut sock,
+                deadline,
+                "400 Bad Request",
+                "request too large\n",
+            );
         }
+        arm(&sock, deadline)?;
         match sock.read(&mut buf) {
             Ok(0) => return Ok(()),
             Ok(n) => head.extend_from_slice(&buf[..n]),
@@ -132,33 +140,55 @@ fn serve_one(mut sock: TcpStream, registry: &Registry, scrapes: &AtomicU64) -> i
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     if method != "GET" {
-        return respond(&mut sock, "405 Method Not Allowed", "only GET is served\n");
+        return respond(
+            &mut sock,
+            deadline,
+            "405 Method Not Allowed",
+            "only GET is served\n",
+        );
     }
     match path {
         "/metrics" => {
             scrapes.fetch_add(1, Ordering::Relaxed);
-            respond(&mut sock, "200 OK", &registry.render())
+            respond(&mut sock, deadline, "200 OK", &registry.render())
         }
         "/" => respond(
             &mut sock,
+            deadline,
             "200 OK",
             "dpd metrics endpoint; scrape /metrics\n",
         ),
-        _ => respond(&mut sock, "404 Not Found", "scrape /metrics\n"),
+        _ => respond(&mut sock, deadline, "404 Not Found", "scrape /metrics\n"),
     }
 }
 
-fn respond(sock: &mut TcpStream, status: &str, body: &str) -> io::Result<()> {
-    let head = format!(
+fn respond(sock: &mut TcpStream, deadline: Instant, status: &str, body: &str) -> io::Result<()> {
+    let page = format!(
         "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    sock.write_all(head.as_bytes())?;
-    sock.write_all(body.as_bytes())?;
-    sock.flush()?;
+    let mut rest = page.as_bytes();
+    while !rest.is_empty() {
+        arm(sock, deadline)?;
+        match sock.write(rest)? {
+            0 => return Err(io::ErrorKind::WriteZero.into()),
+            n => rest = &rest[n..],
+        }
+    }
     let _ = sock.shutdown(Shutdown::Write);
     Ok(())
+}
+
+/// Set `sock`'s read and write timeouts to the time left until
+/// `deadline`; `TimedOut` once it has passed.
+fn arm(sock: &TcpStream, deadline: Instant) -> io::Result<()> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(io::ErrorKind::TimedOut.into());
+    }
+    sock.set_read_timeout(Some(left))?;
+    sock.set_write_timeout(Some(left))
 }
 
 /// Fetch `/metrics` from a [`MetricsServer`] at `addr` and return the
@@ -217,6 +247,44 @@ mod tests {
         let mut raw = String::new();
         sock.read_to_string(&mut raw).unwrap();
         assert!(raw.starts_with("HTTP/1.0 405"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn trickling_client_is_dropped_at_the_request_deadline() {
+        let server = MetricsServer::start(Registry::new(), "127.0.0.1:0").unwrap();
+        let mut slow = TcpStream::connect(server.local_addr()).unwrap();
+        // The read timeout paces the trickle: one byte of a request head
+        // every 250 ms, never the blank line that ends it.
+        slow.set_read_timeout(Some(Duration::from_millis(250)))
+            .unwrap();
+        let start = Instant::now();
+        let limit = CLIENT_TIMEOUT + Duration::from_secs(2);
+        let closed = loop {
+            if start.elapsed() > limit {
+                break false;
+            }
+            if slow.write_all(b"G").is_err() {
+                break true;
+            }
+            match slow.read(&mut [0u8; 1]) {
+                Ok(0) => break true,
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+                Err(_) => break true,
+            }
+        };
+        assert!(
+            closed,
+            "a trickling client still held the endpoint after {:?}",
+            start.elapsed()
+        );
+        scrape(server.local_addr()).expect("scrape after the trickler");
+        assert_eq!(server.scrapes(), 1);
         server.shutdown();
     }
 }

@@ -1,10 +1,9 @@
 //! Prediction and execution-time estimation (paper §1 application 3, §5).
 //!
 //! Locks onto tomcatv's period with the autotuned DPD, predicts upcoming
-//! loop addresses — both with the simple period-locked predictor and with
-//! the online forecasting subsystem (`dpd_core::predict`, see
-//! docs/PREDICTION.md) — and estimates the application's total execution
-//! time from the first measured iterations.
+//! loop addresses with the online forecasting subsystem
+//! (`dpd_core::predict`, see docs/PREDICTION.md) and estimates the
+//! application's total execution time from the first measured iterations.
 //!
 //! Like every example in this workspace, it asserts its own expected
 //! results, so the CI examples smoke job fails if behavior rots instead
@@ -19,7 +18,6 @@ use dpd::apps::app::{App, RunConfig};
 use dpd::apps::tomcatv::{Tomcatv, ITERATIONS};
 use dpd::core::autotune::{TunedDpd, TunerPolicy};
 use dpd::core::pipeline::DpdBuilder;
-use dpd::core::prediction::PeriodicPredictor;
 use dpd::core::streaming::SegmentEvent;
 
 fn main() {
@@ -44,29 +42,10 @@ fn main() {
         dpd.resizes()
     );
 
-    // 2. Predict future loop addresses from the locked period.
-    let mut predictor = PeriodicPredictor::new(period);
-    for &s in stream {
-        predictor.verify_and_observe(s);
-    }
-    let hit_rate = predictor.metrics().hit_rate().unwrap();
-    println!(
-        "address prediction hit rate: {:.1}% over {} checks",
-        hit_rate * 100.0,
-        predictor.metrics().checked
-    );
-    assert!(
-        hit_rate > 0.95,
-        "tomcatv's loop stream is exactly periodic; hit rate was {hit_rate}"
-    );
-    let next: Vec<String> = (1..=period)
-        .map(|k| format!("{:#x}", predictor.predict(k).unwrap()))
-        .collect();
-    println!("next {period} loop calls will be: {}", next.join(" "));
-
-    // 3. The online forecasting subsystem: detector + forecaster in one,
-    //    with confidence and forecast-error statistics maintained as the
-    //    stream advances (docs/PREDICTION.md).
+    // 2. Predict future loop addresses with the online forecasting
+    //    subsystem: detector + forecaster in one, with confidence and
+    //    forecast-error statistics maintained as the stream advances
+    //    (docs/PREDICTION.md).
     let mut forecaster = DpdBuilder::new()
         .window(32)
         .forecast(period)
@@ -101,13 +80,14 @@ fn main() {
         forecast.confidence
     );
     assert_eq!(stats.invalidations, 0, "no phase change in tomcatv");
-    // Both prediction paths agree on the upcoming values.
-    let simple: Vec<i64> = (1..=period)
-        .map(|k| predictor.predict(k).unwrap())
-        .collect();
-    assert_eq!(forecast.predicted, &simple[..], "predictors disagree");
+    // The forecast is the periodic extension of the last full period.
+    assert_eq!(
+        forecast.predicted,
+        &stream[stream.len() - period..],
+        "forecast is not the periodic extension"
+    );
 
-    // 4. Estimate total execution time after measuring 10 iterations.
+    // 3. Estimate total execution time after measuring 10 iterations.
     let iter_time_ns = run.elapsed_ns / ITERATIONS as u64; // true mean
     let mut est = ExecutionEstimator::new().with_total_iterations(ITERATIONS as u64);
     for _ in 0..10 {

@@ -5,7 +5,6 @@
 //! ```
 
 use dpd::core::pipeline::{Detector, DpdBuilder, DpdEvent};
-use dpd::core::prediction::PeriodicPredictor;
 use dpd::core::segmentation::segment_events;
 use dpd::core::streaming::SegmentEvent;
 
@@ -49,13 +48,18 @@ fn main() {
     // 3. Prediction (paper §1, application 3).
     println!();
     println!("== Prediction ==");
-    let mut predictor = PeriodicPredictor::new(4);
+    let mut forecaster = DpdBuilder::new()
+        .window(16)
+        .forecast(1)
+        .build_forecasting()
+        .unwrap();
     for &s in &stream {
-        predictor.verify_and_observe(s);
+        forecaster.push(s);
     }
+    let hit_rate = forecaster.predictor().stats().hit_rate().unwrap();
+    let next = forecaster.forecast(1).expect("locked and primed").predicted[0];
     println!(
-        "next sample prediction: {:#x} (hit rate so far: {:.0}%)",
-        predictor.predict_next().unwrap(),
-        predictor.metrics().hit_rate().unwrap() * 100.0
+        "next sample prediction: {next:#x} (hit rate so far: {:.0}%)",
+        hit_rate * 100.0
     );
 }

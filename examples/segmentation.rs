@@ -7,7 +7,6 @@
 //! ```
 
 use dpd::apps::app::RunConfig;
-use dpd::core::nested::NestedDetector;
 use dpd::core::pipeline::{DpdBuilder, DEFAULT_SCALES};
 
 fn main() {
@@ -26,14 +25,10 @@ fn main() {
             }
         }
 
-        // Off-line nested analysis for cross-validation.
-        let nested = NestedDetector::new().analyze(&run.addresses.values);
-
         println!("{}:", app.name());
         println!("  stream length      : {}", run.addresses.len());
         println!("  paper periodicities: {:?}", app.expected_periods());
         println!("  multi-scale DPD    : {:?}", bank.detected_periods());
-        println!("  nested analysis    : {:?}", nested.periods);
         println!("  outer period marks : {outer_marks}");
         println!();
     }

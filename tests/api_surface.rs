@@ -25,19 +25,17 @@ mod exists {
     }
     mod core_modules {
         pub use dpd::core::{
-            autotune, baseline, capi, confidence, detector, hierarchy, incremental, intervals,
-            metric, minima, naive, nested, periodogram, pipeline, predict, prediction, query,
-            segmentation, shard, snapshot, spectrum, streaming, window,
+            autotune, baseline, capi, detector, incremental, metric, minima, periodogram, pipeline,
+            predict, query, segmentation, shard, snapshot, spectrum, streaming, window,
         };
     }
     mod core_top_level {
         pub use dpd::core::{
             BuildError, Detector, Dpd, DpdBuilder, DpdError, DpdEvent, EventMetric, EventSink,
             Forecast, ForecastStats, ForecastingDpd, FrameDetector, L1Metric, Metric,
-            MultiScaleDpd, MultiStreamEvent, PeriodicPredictor, PeriodicityReport, PredictConfig,
-            Predictor, Restore, Result, SegmentEvent, Snapshot, SnapshotError, Spectrum,
-            StreamHandle, StreamId, StreamSummary, StreamTable, StreamTier, StreamingConfig,
-            StreamingDpd, TableConfig,
+            MultiScaleDpd, MultiStreamEvent, PeriodicityReport, PredictConfig, Predictor, Restore,
+            Result, SegmentEvent, Snapshot, SnapshotError, Spectrum, StreamHandle, StreamId,
+            StreamSummary, StreamTable, StreamTier, StreamingConfig, StreamingDpd, TableConfig,
         };
     }
     mod pipeline_items {
@@ -45,9 +43,6 @@ mod exists {
             BuildError, Detector, DpdBuilder, DpdEvent, DpdPipeline, EventSink, KeyedDpd,
             ServiceSpec, DEFAULT_SCALES,
         };
-    }
-    mod naive_predictor {
-        pub use dpd::core::naive::{PeriodicPredictor, PredictorMetrics};
     }
     mod shard_items {
         pub use dpd::core::shard::{
@@ -132,7 +127,6 @@ const SURFACE: &[&str] = &[
     "dpd::core::Metric",
     "dpd::core::MultiScaleDpd",
     "dpd::core::MultiStreamEvent",
-    "dpd::core::PeriodicPredictor",
     "dpd::core::PeriodicityReport",
     "dpd::core::PredictConfig",
     "dpd::core::Predictor",
@@ -158,17 +152,10 @@ const SURFACE: &[&str] = &[
     "dpd::core::autotune",
     "dpd::core::baseline",
     "dpd::core::capi",
-    "dpd::core::confidence",
     "dpd::core::detector",
-    "dpd::core::hierarchy",
     "dpd::core::incremental",
-    "dpd::core::intervals",
     "dpd::core::metric",
     "dpd::core::minima",
-    "dpd::core::naive",
-    "dpd::core::naive::PeriodicPredictor",
-    "dpd::core::naive::PredictorMetrics",
-    "dpd::core::nested",
     "dpd::core::periodogram",
     "dpd::core::pipeline",
     "dpd::core::pipeline::BuildError",
@@ -183,7 +170,6 @@ const SURFACE: &[&str] = &[
     "dpd::core::predict",
     "dpd::core::predict::Observation",
     "dpd::core::predict::Scored",
-    "dpd::core::prediction",
     "dpd::core::query",
     "dpd::core::query::CONFIDENCE_ALPHA",
     "dpd::core::query::MAX_QUERY_PERIOD",

@@ -1,7 +1,6 @@
-//! Edge-case integration tests: degenerate windows, miss tolerance,
-//! confidence tracking and cross-module corner conditions.
+//! Edge-case integration tests: degenerate windows, miss tolerance and
+//! cross-module corner conditions.
 
-use dpd::core::confidence::ConfidenceTracker;
 use dpd::core::minima::MinimaPolicy;
 use dpd::core::pipeline::DpdBuilder;
 use dpd::core::streaming::SegmentEvent;
@@ -76,28 +75,6 @@ fn m_max_smaller_than_window() {
         }
     }
     assert!(found);
-}
-
-#[test]
-fn confidence_tracker_responds_to_regime_change() {
-    let mut t = ConfidenceTracker::new(5);
-    for _ in 0..20 {
-        t.confirm();
-    }
-    let high = t.confidence();
-    for _ in 0..3 {
-        t.miss();
-    }
-    let lower = t.confidence();
-    assert!(lower < high);
-    assert!(t.is_satisfying(10, 0.3), "still usable after brief misses");
-    for _ in 0..20 {
-        t.miss();
-    }
-    assert!(
-        !t.is_satisfying(10, 0.3),
-        "sustained misses must disqualify"
-    );
 }
 
 #[test]

@@ -1,69 +1,11 @@
-//! Integration tests for the extension modules: hierarchical segmentation,
-//! measurement intervals, quantization, dynamic serialization, the
-//! autocorrelation baseline and the MPI-style FT variant.
+//! Integration tests for the extension modules: quantization, dynamic
+//! serialization, the autocorrelation baseline, the MPI-style FT variant
+//! and live runs.
 
-use dpd::apps::app::{App, RunConfig};
 use dpd::apps::ft::{ft_mpi_run, ft_run, PERIOD_MS};
 use dpd::core::baseline::AutocorrDetector;
 use dpd::core::detector::FrameDetector;
-use dpd::core::hierarchy::analyze_hierarchy;
-use dpd::core::intervals::{recommend, IntervalPlanner, IntervalPolicy};
 use dpd::trace::quantize;
-
-#[test]
-fn hydro2d_hierarchy_has_three_levels() {
-    let run = dpd::apps::hydro2d::Hydro2d.run(&RunConfig::default());
-    let h = analyze_hierarchy(&run.addresses.values, &[8, 64, 512]).unwrap();
-    assert_eq!(h.level_periods, vec![269, 24, 1]);
-    // Outer segments contain inner ones.
-    let outer = h.at_level(0)[0];
-    let children = h.children_of(&outer);
-    assert!(
-        children.iter().any(|c| c.period == 24),
-        "24-period segments inside the outer iteration"
-    );
-}
-
-#[test]
-fn turb3d_hierarchy_has_two_levels() {
-    let run = dpd::apps::turb3d::Turb3d.run(&RunConfig::default());
-    let h = analyze_hierarchy(&run.addresses.values, &[8, 64, 512]).unwrap();
-    assert_eq!(h.level_periods, vec![142, 12]);
-    assert_eq!(h.depth(), 2);
-}
-
-#[test]
-fn measurement_interval_for_ft_period() {
-    // Figure 4's m = 44 at 1 ms sampling: measuring over >= 100 ms means 3
-    // whole periods (132 ms), well inside a 1 s budget.
-    let policy = IntervalPolicy::new(100, 1_000);
-    let r = recommend(PERIOD_MS, policy).unwrap();
-    assert_eq!(r.periods, 3);
-    assert_eq!(r.length, 132);
-}
-
-#[test]
-fn interval_planner_follows_dpd_locks() {
-    // Feed the planner the periods the multi-scale DPD reports on hydro2d.
-    let run = dpd::apps::hydro2d::Hydro2d.run(&RunConfig::default());
-    let mut bank = dpd::core::pipeline::DpdBuilder::new()
-        .scales(dpd::core::pipeline::DEFAULT_SCALES)
-        .build_multi_scale()
-        .unwrap();
-    let mut planner = IntervalPlanner::new(IntervalPolicy::new(100, 10_000));
-    for &s in &run.addresses.values {
-        for (_, e) in bank.push(s).events {
-            if let dpd::core::streaming::SegmentEvent::PeriodStart { period, .. } = e {
-                planner.on_period(period as u64);
-            }
-        }
-    }
-    // The last lock of the largest scale is 269 -> a single period suffices.
-    let r = planner.current().expect("planner has a recommendation");
-    assert_eq!(r.length % r.period, 0);
-    assert!(r.length >= 100 && r.length <= 10_000);
-    assert!(planner.revisions() >= 1);
-}
 
 #[test]
 fn quantized_ft_trace_detects_44_with_event_metric() {
@@ -71,8 +13,7 @@ fn quantized_ft_trace_detects_44_with_event_metric() {
     // into level events; the periodicity survives quantization.
     let run = ft_run(20);
     let stream = quantize::quantize_levels(&run.cpu_trace, 16);
-    // Event metric on quantized samples: d(44) counts only jitter
-    // mismatches. Use the nested detector's mismatch-fraction dips.
+    // The L1 frame detector on the quantized levels still finds m = 44.
     let det = FrameDetector::magnitudes(200, 0.5);
     let as_mag: Vec<f64> = stream.iter().map(|&v| v as f64).collect();
     let report = det.analyze(&as_mag).unwrap();

@@ -3,7 +3,6 @@
 use dpd::core::incremental::{EngineConfig, IncrementalEngine};
 use dpd::core::metric::{direct_distance, EventMetric, L1Metric, Metric};
 use dpd::core::pipeline::DpdBuilder;
-use dpd::core::prediction::PeriodicPredictor;
 use dpd::core::snapshot::{SnapshotReader, SnapshotWriter};
 use dpd::core::spectrum::Spectrum;
 use dpd::trace::{io, EventTrace, SampledTrace};
@@ -179,18 +178,19 @@ proptest! {
         }
     }
 
-    /// The periodic predictor is perfect on exactly periodic streams.
+    /// The forecaster is perfect on exactly periodic streams: every
+    /// forecast it scores is a hit.
     #[test]
     fn predictor_perfect_on_periodic(
         period in 1usize..16,
         reps in 4usize..20,
     ) {
         let data: Vec<i64> = (0..period * reps).map(|i| (i % period) as i64).collect();
-        let mut p = PeriodicPredictor::new(period);
+        let mut f = DpdBuilder::new().window(16).forecast(1).build_forecasting().unwrap();
         for &s in &data {
-            p.verify_and_observe(s);
+            f.push(s);
         }
-        if let Some(rate) = p.metrics().hit_rate() {
+        if let Some(rate) = f.predictor().stats().hit_rate() {
             prop_assert_eq!(rate, 1.0);
         }
     }
@@ -285,14 +285,15 @@ proptest! {
         prop_assert_eq!(w.pushed(), data.len() as u64);
     }
 
-    /// RingWindow::resize never loses the most recent samples that fit.
+    /// MirroredHistory::resize (behind `DPDWindowSize`, paper Table 1)
+    /// never loses the most recent samples that fit.
     #[test]
-    fn ring_window_resize_preserves_newest(
+    fn mirrored_history_resize_preserves_newest(
         data in proptest::collection::vec(any::<i64>(), 1..100),
         cap_a in 1usize..24,
         cap_b in 1usize..24,
     ) {
-        let mut w = dpd::core::window::RingWindow::new(cap_a);
+        let mut w = dpd::core::window::MirroredHistory::new(cap_a);
         for &v in &data {
             w.push(v);
         }
@@ -300,6 +301,7 @@ proptest! {
         w.resize(cap_b);
         let keep = before.len().min(cap_b);
         prop_assert_eq!(w.to_vec(), before[before.len() - keep..].to_vec());
+        prop_assert_eq!(w.pushed(), data.len() as u64);
     }
 
     /// Segmentation invariant on arbitrary periodic-with-phase-changes

@@ -1,6 +1,5 @@
 //! Property-based tests for the substrate and extension modules.
 
-use dpd::core::intervals::{recommend, IntervalPolicy};
 use dpd::core::periodogram::PeriodogramDetector;
 use dpd::runtime::machine::{LoopSpec, Machine, MachineConfig};
 use dpd::runtime::msg::{NetConfig, ProcessGroup};
@@ -80,23 +79,6 @@ proptest! {
         let pd = PerformanceDriven.allocate(&apps, cpus);
         let ts = |a: &[usize]| dpd::runtime::sched::total_speedup(&apps, a);
         prop_assert!(ts(&pd) >= ts(&eq) - 1e-9, "PD {:?} lost to EQ {:?}", pd, eq);
-    }
-
-    /// Interval recommendation: the result always satisfies the policy.
-    #[test]
-    fn interval_recommendation_within_bounds(
-        period in 1u64..10_000,
-        min in 1u64..10_000,
-        span in 0u64..10_000,
-    ) {
-        let policy = IntervalPolicy::new(min, min + span);
-        if let Some(r) = recommend(period, policy) {
-            prop_assert_eq!(r.length, r.period * r.periods);
-            prop_assert!(r.length >= policy.min_length);
-            prop_assert!(r.length <= policy.max_length);
-            prop_assert_eq!(r.period, period);
-            prop_assert!(r.periods >= 1);
-        }
     }
 
     /// Quantization: bin indices are always within range and plateaus never

@@ -63,18 +63,3 @@ fn all_rows_against_declared_expectations() {
         assert_eq!(periods, app.expected_periods(), "{} periods", app.name());
     }
 }
-
-#[test]
-fn nested_offline_analysis_agrees_with_streaming() {
-    // The off-line NestedDetector must find the same period sets.
-    for app in dpd::apps::spec_apps() {
-        let run = app.run(&RunConfig::default());
-        let nested = dpd::core::nested::NestedDetector::new().analyze(&run.addresses.values);
-        assert_eq!(
-            nested.periods,
-            app.expected_periods(),
-            "{} nested analysis",
-            app.name()
-        );
-    }
-}
