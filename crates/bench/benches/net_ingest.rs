@@ -133,7 +133,7 @@ fn loopback_payloads() -> (Vec<Vec<u8>>, u64) {
 /// One full serve cycle: start, stream every payload over its own
 /// connection, drain, shut down. Returns total samples ingested.
 fn serve_roundtrip(payloads: &[Vec<u8>]) -> u64 {
-    let builder = DpdBuilder::new().window(WINDOW).keyed().shards(0);
+    let builder = DpdBuilder::new().window(WINDOW).shards(0);
     let cfg = NetConfig {
         accept_limit: payloads.len() as u64,
         ..NetConfig::default()

@@ -100,7 +100,7 @@ fn bench_table_overhead(c: &mut Criterion) {
     g.bench_function("detector_only", |b| {
         b.iter(|| {
             run(black_box(
-                DpdBuilder::new().window(64).keyed().table_config().unwrap(),
+                DpdBuilder::new().window(64).table_config().unwrap(),
             ))
         })
     });
@@ -109,7 +109,6 @@ fn bench_table_overhead(c: &mut Criterion) {
             run(black_box(
                 DpdBuilder::new()
                     .window(64)
-                    .keyed()
                     .forecast(1)
                     .table_config()
                     .unwrap(),

@@ -50,11 +50,7 @@ fn non_matching_specs(count: usize) -> Vec<QuerySpec> {
 /// Budget-only tiered table sized to hold `streams` residents, with
 /// `specs` attached (the `table_scale::tiered_table` shape plus queries).
 fn tiered_query_table(streams: u64, specs: &[QuerySpec]) -> StreamTable {
-    let probe = DpdBuilder::new()
-        .window(WINDOW)
-        .keyed()
-        .table_config()
-        .unwrap();
+    let probe = DpdBuilder::new().window(WINDOW).table_config().unwrap();
     let budget = probe.hot_stream_bytes() * HOT_SLOTS + probe.cold_stream_bytes() * streams;
     DpdBuilder::new()
         .window(WINDOW)

@@ -41,11 +41,7 @@ const HOT_SLOTS: u64 = 4096;
 /// Budget-only tiered table sized so `streams` can all stay resident:
 /// a small hot set plus everything else as cold compact summaries.
 fn tiered_table(streams: u64) -> (StreamTable, u64) {
-    let probe = DpdBuilder::new()
-        .window(WINDOW)
-        .keyed()
-        .table_config()
-        .unwrap();
+    let probe = DpdBuilder::new().window(WINDOW).table_config().unwrap();
     let budget = probe.hot_stream_bytes() * HOT_SLOTS + probe.cold_stream_bytes() * streams;
     let table = DpdBuilder::new()
         .window(WINDOW)

@@ -64,11 +64,7 @@ fn env_f64(name: &str, default: f64) -> f64 {
 }
 
 fn tiered_table(streams: u64) -> (StreamTable, u64) {
-    let probe = DpdBuilder::new()
-        .window(WINDOW)
-        .keyed()
-        .table_config()
-        .unwrap();
+    let probe = DpdBuilder::new().window(WINDOW).table_config().unwrap();
     let budget = probe.hot_stream_bytes() * HOT_SLOTS + probe.cold_stream_bytes() * streams;
     let table = DpdBuilder::new()
         .window(WINDOW)

@@ -16,7 +16,7 @@ use par_runtime::service::MultiStreamDpd;
 use spec_apps::app::RunConfig;
 use std::fmt::Write as _;
 
-/// Usage text shown on errors.
+/// Usage text, carried by the errors for a missing or unknown command.
 pub const USAGE: &str = "usage:
   dpd generate --kind periodic|nested|aperiodic|phases [--period P] [--len N] [--format text|dtb] [--streams N] --out FILE
   dpd apps --app tomcatv|swim|apsi|hydro2d|turb3d [--format text|dtb] --out FILE
@@ -114,7 +114,9 @@ impl Flags {
 
 /// Execute a command line, returning its stdout text.
 pub fn dispatch(args: &[String]) -> Result<String, String> {
-    let (cmd, rest) = args.split_first().ok_or("no command given")?;
+    let (cmd, rest) = args
+        .split_first()
+        .ok_or_else(|| format!("no command given\n\n{USAGE}"))?;
     let flags = Flags::parse(rest)?;
     match cmd.as_str() {
         "generate" => generate(&flags),
@@ -131,7 +133,7 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
         "serve" => crate::netcmd::serve(&flags),
         "loadgen" => crate::netcmd::loadgen(&flags),
         "stats" => crate::netcmd::stats(&flags),
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
     }
 }
 
@@ -1199,6 +1201,30 @@ mod tests {
     fn dispatch_unknown_command() {
         assert!(dispatch(&argv("frobnicate")).is_err());
         assert!(dispatch(&[]).is_err());
+    }
+
+    /// Only a missing or unknown command carries the usage text; a value
+    /// error stays one line, so `main` prints it unburied.
+    #[test]
+    fn only_command_errors_carry_usage() {
+        for err in [
+            dispatch(&[]).unwrap_err(),
+            dispatch(&argv("frobnicate")).unwrap_err(),
+        ] {
+            assert!(err.contains("usage:"), "{err}");
+        }
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/traces/single.trace"
+        );
+        let args: Vec<String> = vec![
+            "segment".into(),
+            fixture.into(),
+            "--window".into(),
+            "0".into(),
+        ];
+        let err = dispatch(&args).unwrap_err();
+        assert_eq!(err, "invalid DPD window size: 0");
     }
 
     #[test]

@@ -33,8 +33,6 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("dpd: {e}");
-            eprintln!();
-            eprintln!("{}", cmd::USAGE);
             ExitCode::FAILURE
         }
     }

@@ -116,10 +116,11 @@ pub enum BuildError {
     /// [`DpdBuilder::build_magnitude_detector`] needs
     /// [`DpdBuilder::magnitudes`].
     EventsOnMagnitudePipeline,
-    /// A keyed-table option ([`DpdBuilder::keyed`] /
-    /// [`DpdBuilder::evict_after`]) is set but a single-stream stack was
-    /// requested; finish with [`DpdBuilder::build_keyed`] or
-    /// [`DpdBuilder::build_table`] instead.
+    /// A keyed-table option ([`DpdBuilder::evict_after`],
+    /// [`DpdBuilder::memory_budget`] or [`DpdBuilder::cold_summary`]) is
+    /// set but a single-stream stack was requested; finish with
+    /// [`DpdBuilder::build_table`] or the service
+    /// (`MultiStreamDpd::from_builder` in `par-runtime`) instead.
     KeyedOnSingleStream,
     /// [`DpdBuilder::shards`] is set but a single-stream stack was
     /// requested; build the sharded service via
@@ -133,8 +134,8 @@ pub enum BuildError {
     /// [`DpdBuilder::shards`] (use `shards(0)` for the deterministic
     /// inline mode).
     ShardsRequired,
-    /// [`DpdBuilder::sweep_every`] paces idle-stream sweeps of a keyed
-    /// table or service; it has no meaning on a single-stream stack.
+    /// [`DpdBuilder::sweep_every`] paces the service's idle-stream sweeps;
+    /// it has no meaning on a single-stream stack.
     SweepWithoutKeyed,
     /// [`DpdBuilder::memory_budget`] is smaller than the accounted cost of
     /// a single hot stream under the configured detector options; such a
@@ -208,7 +209,7 @@ impl core::fmt::Display for BuildError {
                 write!(f, "build_magnitude_detector needs magnitudes()")
             }
             BuildError::KeyedOnSingleStream => {
-                write!(f, "keyed-table options need build_keyed or build_table")
+                write!(f, "keyed-table options need build_table or the service")
             }
             BuildError::ShardsOnSingleStream => {
                 write!(f, "shards(..) needs the sharded service (par-runtime)")
@@ -223,7 +224,7 @@ impl core::fmt::Display for BuildError {
                 write!(f, "a service needs shards(..) (0 selects inline mode)")
             }
             BuildError::SweepWithoutKeyed => {
-                write!(f, "sweep_every(..) only paces keyed tables and services")
+                write!(f, "sweep_every(..) only paces the service's sweeps")
             }
             BuildError::MemoryBudgetTooSmall => {
                 write!(f, "memory_budget(..) cannot hold even one hot stream")
@@ -424,7 +425,6 @@ pub struct ServiceSpec {
 /// | [`build_multi_scale`](DpdBuilder::build_multi_scale) | raw [`MultiScaleDpd`] bank |
 /// | [`build_forecasting`](DpdBuilder::build_forecasting) | raw [`ForecastingDpd`] |
 /// | [`build_capi`](DpdBuilder::build_capi) | the paper-faithful Table 1 [`Dpd`] |
-/// | [`build_keyed`](DpdBuilder::build_keyed) | [`KeyedDpd`]: keyed multi-stream table behind [`EventSink`] |
 /// | [`build_table`](DpdBuilder::build_table) | raw [`StreamTable`] |
 /// | [`service_spec`](DpdBuilder::service_spec) | sharded service (finished by `MultiStreamDpd::from_builder` in `par-runtime`) |
 ///
@@ -442,7 +442,6 @@ pub struct DpdBuilder {
     magnitudes: bool,
     scales: Option<Vec<usize>>,
     horizon: Option<usize>,
-    keyed: bool,
     evict_after: u64,
     memory_budget: u64,
     cold_retain: u64,
@@ -473,7 +472,6 @@ impl DpdBuilder {
             magnitudes: false,
             scales: None,
             horizon: None,
-            keyed: false,
             evict_after: 0,
             memory_budget: 0,
             cold_retain: 0,
@@ -554,24 +552,17 @@ impl DpdBuilder {
         self
     }
 
-    /// Key detectors by [`StreamId`]: one independent detector per logical
-    /// stream, created lazily, behind one table.
-    pub fn keyed(mut self) -> Self {
-        self.keyed = true;
-        self
-    }
-
-    /// Evict a stream idle for more than this many global samples
-    /// (implies [`DpdBuilder::keyed`]; `0` disables eviction).
+    /// Evict a stream idle for more than this many global samples (`0`
+    /// disables eviction). A keyed-table option: single-stream finishers
+    /// reject it ([`BuildError::KeyedOnSingleStream`]).
     pub fn evict_after(mut self, samples: u64) -> Self {
         self.evict_after = samples;
-        self.keyed = true;
         self
     }
 
     /// Bound the table's accounted per-stream memory to this many bytes
-    /// (implies [`DpdBuilder::keyed`]; `0` disables the budget). When
-    /// admission or re-promotion would exceed the budget the table demotes
+    /// (a keyed-table option; `0` disables the budget). When admission or
+    /// re-promotion would exceed the budget the table demotes
     /// least-recently-active hot streams to compact cold summaries (when
     /// [`DpdBuilder::cold_summary`] is on) or evicts them outright. The
     /// budget must cover at least one hot stream
@@ -579,27 +570,25 @@ impl DpdBuilder {
     /// [`TableConfig::hot_stream_bytes`] for the accounting model.
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.memory_budget = bytes;
-        self.keyed = true;
         self
     }
 
     /// Retain demoted streams as compact cold summaries (~64 bytes: frozen
     /// period, confidence and lifetime rollups) for this many further
     /// global samples past the eviction watermark before they are gone
-    /// (implies [`DpdBuilder::keyed`]; `0` disables the cold tier —
-    /// demotion then means eviction, the pre-budget binary behavior). A
+    /// (a keyed-table option; `0` disables the cold tier — demotion then
+    /// means eviction, the pre-budget binary behavior). A
     /// stream returning within the retention window is re-promoted with
     /// its lifetime counters restored exactly. Requires
     /// [`DpdBuilder::evict_after`] or [`DpdBuilder::memory_budget`]
     /// ([`BuildError::ColdSummaryWithoutEviction`]).
     pub fn cold_summary(mut self, samples: u64) -> Self {
         self.cold_retain = samples;
-        self.keyed = true;
         self
     }
 
-    /// Shard the keyed table over this many worker threads (`0` =
-    /// deterministic inline mode). Only the sharded service consumes this
+    /// Shard the service's stream table over this many worker threads
+    /// (`0` = deterministic inline mode). Only the service consumes this
     /// option — finish with `MultiStreamDpd::from_builder` in
     /// `par-runtime`.
     pub fn shards(mut self, shards: usize) -> Self {
@@ -607,10 +596,11 @@ impl DpdBuilder {
         self
     }
 
-    /// Samples of traffic between idle-stream memory sweeps on a keyed
-    /// table or service (default: four eviction watermarks when eviction is
-    /// on, else never). Sweeps reclaim memory early but never change
-    /// emitted events.
+    /// Samples of traffic between the service's idle-stream memory sweeps
+    /// (default: four eviction watermarks when eviction is on, else never).
+    /// Sweeps reclaim memory early but never change emitted events. A raw
+    /// [`StreamTable`] sweeps only when its caller calls
+    /// [`StreamTable::sweep`].
     pub fn sweep_every(mut self, samples: u64) -> Self {
         self.sweep_every = Some(samples);
         self
@@ -623,9 +613,9 @@ impl DpdBuilder {
         self
     }
 
-    /// Register a standing query (implies [`DpdBuilder::keyed`]): the
-    /// table or service evaluates `spec` incrementally against its event
-    /// stream and emits [`QueryDelta`](crate::query::QueryDelta)
+    /// Register a standing query (a keyed-table option): the table or
+    /// service evaluates `spec` incrementally against its event stream
+    /// and emits [`QueryDelta`](crate::query::QueryDelta)
     /// membership transitions (see [`crate::query`] and `docs/QUERIES.md`).
     /// Call repeatedly to register several queries; registration order
     /// assigns the [`QueryId`](crate::query::QueryId)s. Validated by the
@@ -637,7 +627,6 @@ impl DpdBuilder {
     /// ([`BuildError::QueriesOnSingleStream`]).
     pub fn standing_query(mut self, spec: QuerySpec) -> Self {
         self.queries.push(spec);
-        self.keyed = true;
         self
     }
 
@@ -646,7 +635,6 @@ impl DpdBuilder {
     /// [`DpdBuilder::standing_query`].
     pub fn standing_queries(mut self, specs: &[QuerySpec]) -> Self {
         self.queries.extend_from_slice(specs);
-        self.keyed |= !specs.is_empty();
         self
     }
 
@@ -668,7 +656,10 @@ impl DpdBuilder {
 
     /// `true` when any keyed-table option is set.
     fn is_keyed(&self) -> bool {
-        self.keyed || self.evict_after > 0 || self.memory_budget > 0 || self.cold_retain > 0
+        self.evict_after > 0
+            || self.memory_budget > 0
+            || self.cold_retain > 0
+            || !self.queries.is_empty()
     }
 
     /// Checks shared by every finisher.
@@ -726,8 +717,8 @@ impl DpdBuilder {
         if self.shards.is_some() {
             return Err(BuildError::ShardsOnSingleStream);
         }
-        // Before the generic keyed check: standing_query implies keyed,
-        // and the precise diagnosis is the query registration.
+        // Before the generic keyed check: a standing query is a keyed
+        // option, and the precise diagnosis is the query registration.
         if !self.queries.is_empty() {
             return Err(BuildError::QueriesOnSingleStream);
         }
@@ -904,8 +895,7 @@ impl DpdBuilder {
         Ok(config)
     }
 
-    /// The validated keyed-table configuration. Implies
-    /// [`DpdBuilder::keyed`].
+    /// The validated keyed-table configuration.
     pub fn table_config(&self) -> Result<TableConfig, BuildError> {
         if self.shards.is_some() {
             return Err(BuildError::ShardsOnTable);
@@ -913,36 +903,14 @@ impl DpdBuilder {
         self.keyed_table_config()
     }
 
-    /// A raw keyed stream table. Implies [`DpdBuilder::keyed`]. Registered
-    /// standing queries ([`DpdBuilder::standing_query`]) are attached
-    /// before the table sees its first sample.
+    /// A raw keyed stream table: one independent detector per
+    /// [`StreamId`], created lazily. Registered standing queries
+    /// ([`DpdBuilder::standing_query`]) are attached before the table sees
+    /// its first sample.
     pub fn build_table(&self) -> Result<StreamTable, BuildError> {
         let mut table = StreamTable::new(self.table_config()?);
         table.attach_queries(self.queries.clone());
         Ok(table)
-    }
-
-    /// A keyed multi-stream pipeline over `sink`. Implies
-    /// [`DpdBuilder::keyed`].
-    pub fn build_keyed<S: EventSink>(&self, sink: S) -> Result<KeyedDpd<S>, BuildError> {
-        let table = self.build_table()?;
-        Ok(KeyedDpd {
-            table,
-            sink,
-            scratch: Vec::new(),
-            clock: 0,
-            since_sweep: 0,
-            sweep_every: self.resolved_sweep_every(),
-        })
-    }
-
-    /// The sweep cadence with its eviction-coupled default resolved.
-    fn resolved_sweep_every(&self) -> u64 {
-        self.sweep_every.unwrap_or(if self.evict_after > 0 {
-            self.evict_after * 4
-        } else {
-            0
-        })
     }
 
     /// Everything the sharded service needs. Requires
@@ -954,7 +922,8 @@ impl DpdBuilder {
         Ok(ServiceSpec {
             table: self.keyed_table_config()?,
             shards,
-            sweep_every: self.resolved_sweep_every(),
+            // Default cadence: four eviction watermarks, or never.
+            sweep_every: self.sweep_every.unwrap_or(self.evict_after * 4),
             queries: self.queries.clone(),
         })
     }
@@ -1244,127 +1213,6 @@ impl<S: EventSink> DpdPipeline<S> {
     }
 }
 
-/// A keyed multi-stream detector table behind one [`EventSink`].
-///
-/// Built by [`DpdBuilder::build_keyed`]. Maintains the global sample clock
-/// itself (every ingested batch advances it) and paces idle-stream sweeps
-/// by the builder's [`sweep_every`](DpdBuilder::sweep_every) — the same
-/// semantics as the sharded service's deterministic inline mode, so a
-/// `KeyedDpd` is the in-process reference for any shard count.
-///
-/// # Examples
-/// ```
-/// use dpd_core::pipeline::{DpdBuilder, DpdEvent};
-/// use dpd_core::shard::StreamId;
-///
-/// let mut keyed = DpdBuilder::new().window(8).keyed().build_keyed(Vec::new()).unwrap();
-/// for round in 0..20i64 {
-///     for s in 0..3u64 {
-///         let chunk: Vec<i64> = (0..4).map(|i| (round * 4 + i) % (s as i64 + 2)).collect();
-///         keyed.ingest(StreamId(s), &chunk);
-///     }
-/// }
-/// keyed.close_all();
-/// let events = keyed.into_sink();
-/// assert!(events
-///     .iter()
-///     .any(|(s, e)| *s == StreamId(0) && matches!(e, DpdEvent::Closed { .. })));
-/// ```
-#[derive(Debug)]
-pub struct KeyedDpd<S: EventSink> {
-    table: StreamTable,
-    sink: S,
-    scratch: Vec<MultiStreamEvent>,
-    clock: u64,
-    since_sweep: u64,
-    sweep_every: u64,
-}
-
-impl<S: EventSink> KeyedDpd<S> {
-    /// Ingest one batch of samples for one stream.
-    pub fn ingest(&mut self, stream: StreamId, samples: &[i64]) {
-        self.scratch.clear();
-        self.table
-            .ingest(self.clock, stream, samples, &mut self.scratch);
-        self.clock += samples.len() as u64;
-        self.since_sweep += samples.len() as u64;
-        if self.sweep_every > 0 && self.since_sweep >= self.sweep_every {
-            self.table.sweep(self.clock);
-            self.since_sweep = 0;
-        }
-        self.flush_scratch();
-    }
-
-    /// Explicitly close one stream (final flush event); returns `false`
-    /// when the stream is not live.
-    pub fn close(&mut self, stream: StreamId) -> bool {
-        self.scratch.clear();
-        let closed = self.table.close(self.clock, stream, &mut self.scratch);
-        self.flush_scratch();
-        closed
-    }
-
-    /// Close every live stream, ascending by id.
-    pub fn close_all(&mut self) {
-        self.scratch.clear();
-        self.table.close_all(self.clock, &mut self.scratch);
-        self.flush_scratch();
-    }
-
-    /// Sweep idle streams now; returns the number evicted.
-    pub fn sweep(&mut self) -> usize {
-        self.since_sweep = 0;
-        self.table.sweep(self.clock)
-    }
-
-    /// Materialize the forecast for the next `h` values of one stream
-    /// (forecasting tables only; see
-    /// [`StreamTable::forecast`]).
-    pub fn forecast(&mut self, stream: StreamId, h: usize) -> Option<Forecast<'_>> {
-        self.table.forecast(stream, h)
-    }
-
-    /// The global sample clock (samples ingested across all streams).
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
-    /// The underlying table (per-stream statistics, rollups, lifecycle
-    /// counters).
-    pub fn table(&self) -> &StreamTable {
-        &self.table
-    }
-
-    /// Move every pending standing-query delta into `out` (see
-    /// [`StreamTable::drain_query_deltas`]).
-    pub fn drain_query_deltas(&mut self, out: &mut Vec<crate::query::QueryDelta>) {
-        self.table.drain_query_deltas(out);
-    }
-
-    /// The event sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Mutable access to the event sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
-    /// Tear down the pipeline, returning the sink.
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
-
-    fn flush_scratch(&mut self) {
-        for e in &self.scratch {
-            let (stream, event) = DpdEvent::from_multi_stream(e);
-            self.sink.on_event(stream, &event);
-        }
-        self.scratch.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1465,29 +1313,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_pipeline_matches_raw_table() {
-        let builder = DpdBuilder::new().window(8).evict_after(64);
-        let mut keyed = builder.build_keyed(Vec::new()).unwrap();
-        let mut table = builder.build_table().unwrap();
-        let mut raw = Vec::new();
-        let mut seq = 0u64;
-        for round in 0..25i64 {
-            for s in 0..4u64 {
-                let chunk: Vec<i64> = (0..6).map(|i| (round * 6 + i) % (s as i64 + 2)).collect();
-                keyed.ingest(StreamId(s), &chunk);
-                table.ingest(seq, StreamId(s), &chunk, &mut raw);
-                seq += 6;
-            }
-        }
-        keyed.close_all();
-        table.close_all(seq, &mut raw);
-        let expected: Vec<(StreamId, DpdEvent)> =
-            raw.iter().map(DpdEvent::from_multi_stream).collect();
-        assert_eq!(keyed.sink(), &expected);
-        assert_eq!(keyed.clock(), seq);
-    }
-
-    #[test]
     fn closure_and_unit_sinks() {
         let mut count = 0usize;
         let mut pipe = DpdBuilder::new()
@@ -1554,7 +1379,7 @@ mod tests {
             ),
             (
                 "scales on a keyed table",
-                b().scales(&[8]).keyed().build_table().err(),
+                b().scales(&[8]).build_table().err(),
                 E::ScalesWithKeyed,
             ),
             (
@@ -1594,7 +1419,7 @@ mod tests {
             ),
             (
                 "magnitudes on a keyed table",
-                b().magnitudes().keyed().build_table().err(),
+                b().magnitudes().build_table().err(),
                 E::MagnitudesWithKeyed,
             ),
             (
@@ -1613,11 +1438,6 @@ mod tests {
                 E::EventsOnMagnitudePipeline,
             ),
             (
-                "keyed option on a single-stream finisher",
-                b().keyed().build_detector().err(),
-                E::KeyedOnSingleStream,
-            ),
-            (
                 "eviction on a single-stream finisher",
                 b().evict_after(64).build(()).err(),
                 E::KeyedOnSingleStream,
@@ -1629,12 +1449,12 @@ mod tests {
             ),
             (
                 "shards on the in-process table",
-                b().shards(4).keyed().build_table().err(),
+                b().shards(4).build_table().err(),
                 E::ShardsOnTable,
             ),
             (
                 "service without shards",
-                b().keyed().service_spec().err(),
+                b().service_spec().err(),
                 E::ShardsRequired,
             ),
             (

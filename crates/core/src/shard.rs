@@ -576,7 +576,7 @@ impl Strips {
 /// use dpd_core::pipeline::DpdBuilder;
 /// use dpd_core::shard::{MultiStreamEvent, StreamId};
 ///
-/// let mut table = DpdBuilder::new().window(8).keyed().build_table().unwrap();
+/// let mut table = DpdBuilder::new().window(8).build_table().unwrap();
 /// let mut out = Vec::new();
 /// let mut seq = 0u64;
 /// for round in 0..30 {
@@ -600,7 +600,7 @@ impl Strips {
 /// use dpd_core::pipeline::DpdBuilder;
 /// use dpd_core::shard::StreamId;
 ///
-/// let mut table = DpdBuilder::new().window(8).keyed().build_table().unwrap();
+/// let mut table = DpdBuilder::new().window(8).build_table().unwrap();
 /// let mut out = Vec::new();
 /// table.ingest(0, StreamId(7), &[0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2], &mut out);
 /// let h = table.resolve(StreamId(7)).unwrap();
@@ -1660,7 +1660,7 @@ mod tests {
     use crate::pipeline::DpdBuilder;
 
     fn table_with_window(n: usize) -> StreamTable {
-        DpdBuilder::new().window(n).keyed().build_table().unwrap()
+        DpdBuilder::new().window(n).build_table().unwrap()
     }
 
     fn table_with_eviction(n: usize, evict_after: u64) -> StreamTable {
@@ -1885,7 +1885,6 @@ mod tests {
     fn forecasting_table_scores_per_stream() {
         let mut table = DpdBuilder::new()
             .window(8)
-            .keyed()
             .forecast(2)
             .build_table()
             .unwrap();
@@ -1966,7 +1965,6 @@ mod tests {
     fn handles_resolve_and_delegate() {
         let mut table = DpdBuilder::new()
             .window(8)
-            .keyed()
             .forecast(2)
             .build_table()
             .unwrap();
@@ -2204,12 +2202,11 @@ mod tests {
 
     #[test]
     fn memory_budget_demotes_to_cold_and_accounts() {
-        let probe = DpdBuilder::new().window(8).keyed().table_config().unwrap();
+        let probe = DpdBuilder::new().window(8).table_config().unwrap();
         // Room for ~3 hot streams plus slot overhead for the rest.
         let budget = probe.hot_stream_bytes() * 3 + probe.cold_stream_bytes() * 64;
         let mut table = DpdBuilder::new()
             .window(8)
-            .keyed()
             .cold_summary(1_000_000)
             .memory_budget(budget)
             .build_table()
@@ -2231,11 +2228,10 @@ mod tests {
 
     #[test]
     fn memory_budget_without_cold_tier_evicts() {
-        let probe = DpdBuilder::new().window(8).keyed().table_config().unwrap();
+        let probe = DpdBuilder::new().window(8).table_config().unwrap();
         let budget = probe.hot_stream_bytes() * 3;
         let mut table = DpdBuilder::new()
             .window(8)
-            .keyed()
             .memory_budget(budget)
             .build_table()
             .unwrap();

@@ -823,7 +823,6 @@ mod tests {
         // Wrong type tag is caught before any state decoding.
         let err = DpdBuilder::new()
             .window(8)
-            .keyed()
             .restore_table(&bytes)
             .unwrap_err();
         assert!(matches!(

@@ -1,7 +1,7 @@
 //! # dpd-obs — the observability plane of the DPD toolkit
 //!
 //! Before this crate the stack's runtime state was scattered across
-//! ad-hoc structs (`NetStats`' counters, per-shard `ShardStats`,
+//! ad-hoc structs (`NetStats`' counters, per-shard service rollups,
 //! StreamTable rollups, query enter/exit counts) that were only
 //! visible at drain time. `dpd_obs` gives the whole workspace one
 //! always-on plane:

@@ -9,8 +9,9 @@
 //!    and bump it forever.
 //! 2. **One source of truth.** Subsystems register their counters here
 //!    instead of keeping private atomic structs; drain-time summaries
-//!    (`NetStats`, `ShardStats`) are *read back* from the registry, so
-//!    a live scrape and the final drain can never disagree.
+//!    (`NetStats`, the service's per-shard `TableStats`) are *read
+//!    back* from the registry, so a live scrape and the final drain can
+//!    never disagree.
 //! 3. **Deterministic exposition.** [`Registry::render`] and
 //!    [`Registry::samples`] emit families sorted by name and series
 //!    sorted by label set, so golden tests and differential scrapes

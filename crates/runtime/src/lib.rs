@@ -49,5 +49,5 @@ pub mod workload;
 pub use cpustat::{CpuTimeline, CpuUsage};
 pub use machine::{LoopSpec, Machine, MachineConfig, VirtualSpan};
 pub use pool::ThreadPool;
-pub use service::{CheckpointError, MultiStreamDpd, ServiceSnapshot, ShardStats};
+pub use service::{CheckpointError, MultiStreamDpd, ServiceSnapshot};
 pub use vclock::VirtualClock;

@@ -813,7 +813,7 @@ mod tests {
 
     #[test]
     fn loopback_matches_in_process_replay() {
-        let builder = DpdBuilder::new().window(8).keyed().shards(0);
+        let builder = DpdBuilder::new().window(8).shards(0);
         let bytes = corpus(4, 200);
 
         // Reference: in-process inline replay of the same container.
@@ -845,7 +845,7 @@ mod tests {
 
     #[test]
     fn malformed_frame_closes_with_protocol_error_only_for_that_conn() {
-        let builder = DpdBuilder::new().window(8).keyed().shards(0);
+        let builder = DpdBuilder::new().window(8).shards(0);
         let server = DpdServer::start(&builder, NetConfig::default(), "127.0.0.1:0").unwrap();
         let bytes = corpus(1, 50);
 
@@ -887,7 +887,7 @@ mod tests {
     /// connection, but the valid prefix before it stays applied.
     #[test]
     fn valid_prefix_before_malformed_frame_is_applied() {
-        let builder = DpdBuilder::new().window(8).keyed().shards(0);
+        let builder = DpdBuilder::new().window(8).shards(0);
         let bytes = corpus(2, 60);
         let ref_events = replay(&builder, &bytes);
         let server = DpdServer::start(&builder, NetConfig::default(), "127.0.0.1:0").unwrap();

@@ -11,12 +11,14 @@
 //!   is the lock-free linked-list queue std adopted from crossbeam-channel
 //!   (Rust ≥ 1.67): producers never take a lock, and the service side
 //!   drains with the non-blocking [`MultiStreamDpd::drain`].
-//! * **Rollups.** Per-shard [`ShardStats`] (streams, samples, events, queue
-//!   depth, ...) are published into a `dpd_obs` metrics [`Registry`] and
-//!   read back without synchronizing with the workers via
-//!   [`MultiStreamDpd::snapshot`] — the same cells a live `/metrics`
-//!   scrape renders, so drain summaries and scrapes cannot drift (metric
-//!   names in `docs/OBSERVABILITY.md`).
+//! * **Rollups.** Every field of each shard's [`TableStats`] (streams,
+//!   samples, events, tier and forecast counters, ...) is published into a
+//!   `dpd_obs` metrics [`Registry`] and read back without synchronizing
+//!   with the workers via [`MultiStreamDpd::snapshot`] — the same cells a
+//!   live `/metrics` scrape renders, so drain summaries and scrapes cannot
+//!   drift (metric names in `docs/OBSERVABILITY.md`). Queue depth and
+//!   batch counts are queue traffic, not table state: they live only in
+//!   the registry (`dpd_shard_queue_depth`, `dpd_shard_batches_total`).
 //! * **Determinism.** `shards: 0` runs inline on the calling thread and is
 //!   the reference: for any shard count and any interleaving of per-stream
 //!   batches, the sharded service produces exactly the same per-stream
@@ -63,105 +65,35 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Point-in-time rollup of one shard (or of the inline table).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Live streams held by the shard (hot + cold tiers).
-    pub streams: u64,
-    /// The cold-summary subset of `streams`.
-    pub cold: u64,
-    /// Samples ingested by the shard.
-    pub samples: u64,
-    /// Segmentation events emitted (including close flushes).
-    pub events: u64,
-    /// Streams evicted by the idle watermark.
-    pub evicted: u64,
-    /// Streams explicitly closed.
-    pub closed: u64,
-    /// Hot slots demoted to cold summaries (watermark or memory budget).
-    pub demoted: u64,
-    /// Cold summaries re-promoted to hot on returning samples.
-    pub promoted: u64,
-    /// Record batches routed to the shard and not yet processed.
-    pub queue_depth: u64,
-    /// Record batches fully processed.
-    pub batches: u64,
-    /// Forecasts scored against an arrived sample (`0` unless the table
-    /// config enables forecasting).
-    pub forecast_checked: u64,
-    /// Scored forecasts that matched exactly.
-    pub forecast_hits: u64,
-    /// Standing-query `Enter` deltas emitted (`0` unless queries are
-    /// registered).
-    pub query_enters: u64,
-    /// Standing-query `Exit` deltas emitted.
-    pub query_exits: u64,
-}
-
-impl ShardStats {
-    fn add(&mut self, other: &ShardStats) {
-        self.streams += other.streams;
-        self.cold += other.cold;
-        self.samples += other.samples;
-        self.events += other.events;
-        self.evicted += other.evicted;
-        self.closed += other.closed;
-        self.demoted += other.demoted;
-        self.promoted += other.promoted;
-        self.queue_depth += other.queue_depth;
-        self.batches += other.batches;
-        self.forecast_checked += other.forecast_checked;
-        self.forecast_hits += other.forecast_hits;
-        self.query_enters += other.query_enters;
-        self.query_exits += other.query_exits;
-    }
-
-    /// The single table→shard accumulation point: every shard's rollup
-    /// publication, inline or on a worker, maps a [`TableStats`] through
-    /// here, so the two modes can never drift field-by-field (asserted in
-    /// `tests/proptest_multistream.rs`). Queue depth and batch counts are
-    /// queue-traffic concerns and start at zero.
-    pub fn from_table(t: &TableStats) -> Self {
-        ShardStats {
-            streams: t.streams,
-            cold: t.cold,
-            samples: t.samples,
-            events: t.events,
-            evicted: t.evicted,
-            closed: t.closed,
-            demoted: t.demoted,
-            promoted: t.promoted,
-            queue_depth: 0,
-            batches: 0,
-            forecast_checked: t.forecast_checked,
-            forecast_hits: t.forecast_hits,
-            query_enters: t.query_enters,
-            query_exits: t.query_exits,
-        }
-    }
-
-    /// Exact-match rate of scored forecasts; `None` before any check.
-    pub fn forecast_hit_rate(&self) -> Option<f64> {
-        (self.forecast_checked > 0)
-            .then(|| self.forecast_hits as f64 / self.forecast_checked as f64)
-    }
-}
-
-/// Snapshot of the whole service: one [`ShardStats`] per shard.
+/// Snapshot of the whole service: one [`TableStats`] per shard, read back
+/// from the registry cells a `/metrics` scrape renders.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     /// Per-shard rollups (a single entry in inline mode).
-    pub shards: Vec<ShardStats>,
+    pub shards: Vec<TableStats>,
 }
 
 impl ServiceSnapshot {
     /// Sum over all shards.
-    pub fn total(&self) -> ShardStats {
-        let mut t = ShardStats::default();
-        for s in &self.shards {
-            t.add(s);
-        }
-        t
+    pub fn total(&self) -> TableStats {
+        self.shards
+            .iter()
+            .fold(TableStats::default(), |t, s| TableStats {
+                streams: t.streams + s.streams,
+                cold: t.cold + s.cold,
+                created: t.created + s.created,
+                samples: t.samples + s.samples,
+                events: t.events + s.events,
+                evicted: t.evicted + s.evicted,
+                closed: t.closed + s.closed,
+                demoted: t.demoted + s.demoted,
+                promoted: t.promoted + s.promoted,
+                forecast_checked: t.forecast_checked + s.forecast_checked,
+                forecast_hits: t.forecast_hits + s.forecast_hits,
+                forecast_invalidations: t.forecast_invalidations + s.forecast_invalidations,
+                query_enters: t.query_enters + s.query_enters,
+                query_exits: t.query_exits + s.query_exits,
+            })
     }
 }
 
@@ -274,18 +206,22 @@ pub struct ServiceObs {
 struct ShardMetrics {
     streams: Gauge,
     cold: Gauge,
-    queue_depth: Gauge,
+    created: Counter,
     samples: Counter,
     events: Counter,
     evicted: Counter,
     closed: Counter,
     demoted: Counter,
     promoted: Counter,
-    batches: Counter,
     forecast_checked: Counter,
     forecast_hits: Counter,
+    forecast_invalidations: Counter,
     query_enters: Counter,
     query_exits: Counter,
+    /// Queue traffic, not table state: counted by the frontend and the
+    /// worker loop, rendered by scrapes, left out of [`TableStats`].
+    queue_depth: Gauge,
+    batches: Counter,
     /// Ingest-loop iteration wall time; same log2 bucketing as the
     /// self-trace, so the scraped histogram and the DTB capture agree.
     ingest_ns: Histogram,
@@ -304,9 +240,9 @@ impl ShardMetrics {
                 "dpd_shard_streams_cold",
                 "cold-summary subset of the shard's streams",
             ),
-            queue_depth: g(
-                "dpd_shard_queue_depth",
-                "record batches routed to the shard and not yet processed",
+            created: c(
+                "dpd_shard_created_total",
+                "streams created, including re-creations after eviction or close",
             ),
             samples: c("dpd_shard_samples_total", "samples ingested by the shard"),
             events: c(
@@ -326,7 +262,6 @@ impl ShardMetrics {
                 "dpd_shard_promoted_total",
                 "cold summaries re-promoted to hot",
             ),
-            batches: c("dpd_shard_batches_total", "record batches fully processed"),
             forecast_checked: c(
                 "dpd_shard_forecast_checked_total",
                 "forecasts scored against an arrived sample",
@@ -334,6 +269,10 @@ impl ShardMetrics {
             forecast_hits: c(
                 "dpd_shard_forecast_hits_total",
                 "scored forecasts that matched exactly",
+            ),
+            forecast_invalidations: c(
+                "dpd_shard_forecast_invalidations_total",
+                "forecast invalidations on phase changes",
             ),
             query_enters: c(
                 "dpd_shard_query_enters_total",
@@ -343,6 +282,11 @@ impl ShardMetrics {
                 "dpd_shard_query_exits_total",
                 "standing-query exit deltas emitted",
             ),
+            queue_depth: g(
+                "dpd_shard_queue_depth",
+                "record batches routed to the shard and not yet processed",
+            ),
+            batches: c("dpd_shard_batches_total", "record batches fully processed"),
             ingest_ns: reg.histogram(
                 &format!("dpd_ingest_loop_nanoseconds{{shard=\"{shard}\"}}"),
                 "ingest-loop iteration wall time in nanoseconds (log2 buckets)",
@@ -350,14 +294,12 @@ impl ShardMetrics {
         }
     }
 
-    /// The single table→registry publication point: map a [`TableStats`]
-    /// through [`ShardStats::from_table`] and store each field into its
-    /// registry cell. Queue depth and batch counts count queue traffic
-    /// only and are left untouched.
+    /// The single table→registry publication point: store each
+    /// [`TableStats`] field into its registry cell.
     fn publish_table(&self, t: &TableStats) {
-        let t = ShardStats::from_table(t);
         self.streams.set(t.streams);
         self.cold.set(t.cold);
+        self.created.publish(t.created);
         self.samples.publish(t.samples);
         self.events.publish(t.events);
         self.evicted.publish(t.evicted);
@@ -366,25 +308,27 @@ impl ShardMetrics {
         self.promoted.publish(t.promoted);
         self.forecast_checked.publish(t.forecast_checked);
         self.forecast_hits.publish(t.forecast_hits);
+        self.forecast_invalidations
+            .publish(t.forecast_invalidations);
         self.query_enters.publish(t.query_enters);
         self.query_exits.publish(t.query_exits);
     }
 
     /// Read the rollups back out of the registry cells.
-    fn snapshot(&self) -> ShardStats {
-        ShardStats {
+    fn snapshot(&self) -> TableStats {
+        TableStats {
             streams: self.streams.get(),
             cold: self.cold.get(),
+            created: self.created.get(),
             samples: self.samples.get(),
             events: self.events.get(),
             evicted: self.evicted.get(),
             closed: self.closed.get(),
             demoted: self.demoted.get(),
             promoted: self.promoted.get(),
-            queue_depth: self.queue_depth.get(),
-            batches: self.batches.get(),
             forecast_checked: self.forecast_checked.get(),
             forecast_hits: self.forecast_hits.get(),
+            forecast_invalidations: self.forecast_invalidations.get(),
             query_enters: self.query_enters.get(),
             query_exits: self.query_exits.get(),
         }
@@ -885,11 +829,12 @@ impl MultiStreamDpd {
     }
 
     /// Point-in-time per-shard rollups (lock-free reads; inline mode
-    /// reports itself as a single shard with queue depth 0).
+    /// reports itself as a single shard).
     ///
     /// Reads go *through the registry*: every shard publishes its table's
     /// rollups after each command it applies, so a live `/metrics` scrape
-    /// and this snapshot can never disagree.
+    /// and this snapshot can never disagree. Queue depth and batch counts
+    /// are registry series only ([`MultiStreamDpd::registry`]).
     pub fn snapshot(&self) -> ServiceSnapshot {
         ServiceSnapshot {
             shards: self.metrics.iter().map(ShardMetrics::snapshot).collect(),
@@ -1230,11 +1175,92 @@ mod tests {
         drive(&mut svc, 30, 8, 10);
         svc.flush();
         let snap = svc.snapshot();
-        assert_eq!(snap.total().queue_depth, 0);
         assert_eq!(snap.total().samples, 30 * 8 * 10);
         assert_eq!(snap.total().streams, 30);
-        assert!(snap.total().batches > 0);
+        let page = dpd_obs::parse_exposition(&svc.registry().render()).unwrap();
+        assert_eq!(page.sum_family("dpd_shard_queue_depth"), 0.0);
+        assert!(page.sum_family("dpd_shard_batches_total") > 0.0);
         drop(svc);
+    }
+
+    /// Each [`TableStats`] field with the metric family it is published
+    /// under.
+    fn fields(s: &TableStats) -> [(&'static str, u64); 14] {
+        [
+            ("dpd_shard_streams", s.streams),
+            ("dpd_shard_streams_cold", s.cold),
+            ("dpd_shard_created_total", s.created),
+            ("dpd_shard_samples_total", s.samples),
+            ("dpd_shard_events_total", s.events),
+            ("dpd_shard_evicted_total", s.evicted),
+            ("dpd_shard_closed_total", s.closed),
+            ("dpd_shard_demoted_total", s.demoted),
+            ("dpd_shard_promoted_total", s.promoted),
+            ("dpd_shard_forecast_checked_total", s.forecast_checked),
+            ("dpd_shard_forecast_hits_total", s.forecast_hits),
+            (
+                "dpd_shard_forecast_invalidations_total",
+                s.forecast_invalidations,
+            ),
+            ("dpd_shard_query_enters_total", s.query_enters),
+            ("dpd_shard_query_exits_total", s.query_exits),
+        ]
+    }
+
+    /// Every field of each typed per-shard snapshot is the scraped series
+    /// of the same name, so a swapped or missing registration cannot hide
+    /// behind the proptests (which compare typed views only).
+    #[test]
+    fn snapshot_fields_are_the_scraped_series() {
+        for shards in [0usize, 2] {
+            let mut svc = MultiStreamDpd::from_builder(
+                &DpdBuilder::new()
+                    .window(8)
+                    .forecast(2)
+                    .evict_after(60)
+                    .cold_summary(60)
+                    .sweep_every(24)
+                    .standing_query(QuerySpec::PeriodInRange { lo: 2, hi: 4 })
+                    .shards(shards),
+            )
+            .unwrap();
+            drive(&mut svc, 8, 6, 10);
+            // Streams 6 and 7 fall silent first and end past the cold
+            // retention (evicted); 4 and 5 fall silent later and end past
+            // the watermark only (demoted to cold). Stream 1 changes phase
+            // (forecast invalidated).
+            for (r, live) in [(10u64, 6u64), (11, 6), (12, 6), (13, 4), (14, 4), (15, 4)] {
+                let owned: Vec<(StreamId, Vec<i64>)> = (0..live)
+                    .map(|s| {
+                        let period = if s == 1 && r >= 13 { 5 } else { s % 7 + 2 };
+                        (StreamId(s), periodic(period, r * 6, 6))
+                    })
+                    .collect();
+                let records: Vec<(StreamId, &[i64])> =
+                    owned.iter().map(|(s, v)| (*s, v.as_slice())).collect();
+                svc.ingest(&records);
+            }
+            // Stream 4 returns from cold (promoted); stream 0 is closed.
+            svc.push(StreamId(4), &periodic(6, 96, 12));
+            svc.close(StreamId(0));
+            svc.flush();
+            let page = dpd_obs::parse_exposition(&svc.registry().render()).unwrap();
+            let snap = svc.snapshot();
+            for (k, s) in snap.shards.iter().enumerate() {
+                for (family, value) in fields(s) {
+                    let series = format!("{family}{{shard=\"{k}\"}}");
+                    assert_eq!(
+                        page.get(&series),
+                        Some(value as f64),
+                        "shards={shards}: {series}"
+                    );
+                }
+            }
+            // The workload moves every rollup off zero.
+            for (family, value) in fields(&snap.total()) {
+                assert!(value > 0, "shards={shards}: {family} stayed 0");
+            }
+        }
     }
 
     #[test]

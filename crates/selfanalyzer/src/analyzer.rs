@@ -151,8 +151,7 @@ pub struct DurationForecast {
     pub cpus: usize,
 }
 
-/// Region bookkeeping shared by the single-stream [`SelfAnalyzer`] and the
-/// multi-stream [`crate::multistream::MultiStreamAnalyzer`]: the paper's
+/// Region bookkeeping of the [`SelfAnalyzer`]: the paper's
 /// `InitParallelRegion(address, length)` plus iteration timing.
 #[derive(Debug, Default)]
 pub struct RegionBook {

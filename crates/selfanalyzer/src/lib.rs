@@ -25,12 +25,10 @@
 
 pub mod analyzer;
 pub mod estimate;
-pub mod multistream;
 pub mod policy;
 pub mod report;
 pub mod speedup;
 
 pub use analyzer::{DurationForecast, RegionBook, RegionInfo, SelfAnalyzer};
 pub use estimate::ExecutionEstimator;
-pub use multistream::MultiStreamAnalyzer;
 pub use speedup::{efficiency, speedup};

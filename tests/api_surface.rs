@@ -40,8 +40,8 @@ mod exists {
     }
     mod pipeline_items {
         pub use dpd::core::pipeline::{
-            BuildError, Detector, DpdBuilder, DpdEvent, DpdPipeline, EventSink, KeyedDpd,
-            ServiceSpec, DEFAULT_SCALES,
+            BuildError, Detector, DpdBuilder, DpdEvent, DpdPipeline, EventSink, ServiceSpec,
+            DEFAULT_SCALES,
         };
     }
     mod shard_items {
@@ -77,7 +77,7 @@ mod exists {
     }
     mod service_items {
         pub use dpd::runtime::service::{
-            CheckpointError, MultiStreamDpd, ServiceObs, ServiceSnapshot, ShardStats,
+            CheckpointError, MultiStreamDpd, ServiceObs, ServiceSnapshot,
         };
     }
     mod obs_items {
@@ -94,9 +94,7 @@ mod exists {
         };
     }
     mod analyzer_items {
-        pub use dpd::analyzer::{
-            multistream::MultiStreamAnalyzer, ExecutionEstimator, RegionInfo, SelfAnalyzer,
-        };
+        pub use dpd::analyzer::{ExecutionEstimator, RegionInfo, SelfAnalyzer};
     }
 }
 
@@ -108,7 +106,6 @@ const SURFACE: &[&str] = &[
     "dpd::analyzer::ExecutionEstimator",
     "dpd::analyzer::RegionInfo",
     "dpd::analyzer::SelfAnalyzer",
-    "dpd::analyzer::multistream::MultiStreamAnalyzer",
     "dpd::apps",
     "dpd::core",
     "dpd::core::BuildError",
@@ -165,7 +162,6 @@ const SURFACE: &[&str] = &[
     "dpd::core::pipeline::DpdEvent",
     "dpd::core::pipeline::DpdPipeline",
     "dpd::core::pipeline::EventSink",
-    "dpd::core::pipeline::KeyedDpd",
     "dpd::core::pipeline::ServiceSpec",
     "dpd::core::predict",
     "dpd::core::predict::Observation",
@@ -228,7 +224,6 @@ const SURFACE: &[&str] = &[
     "dpd::runtime::service::MultiStreamDpd",
     "dpd::runtime::service::ServiceObs",
     "dpd::runtime::service::ServiceSnapshot",
-    "dpd::runtime::service::ShardStats",
     "dpd::trace",
 ];
 

@@ -8,12 +8,14 @@ use dpd::core::detector::FrameDetector;
 use dpd::trace::quantize;
 
 #[test]
-fn quantized_ft_trace_detects_44_with_event_metric() {
+fn quantized_ft_trace_detects_44_with_l1_metric() {
     // Bridge §2's two acquisition models: quantize the sampled CPU trace
     // into level events; the periodicity survives quantization.
     let run = ft_run(20);
     let stream = quantize::quantize_levels(&run.cpu_trace, 16);
-    // The L1 frame detector on the quantized levels still finds m = 44.
+    // The magnitude (L1, equation 1) frame detector on the quantized
+    // levels still finds m = 44. The exact event metric (equation 2) does
+    // not: sampling noise breaks the exact repeats it needs.
     let det = FrameDetector::magnitudes(200, 0.5);
     let as_mag: Vec<f64> = stream.iter().map(|&v| v as f64).collect();
     let report = det.analyze(&as_mag).unwrap();

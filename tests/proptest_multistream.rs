@@ -11,8 +11,8 @@
 //! clock carried with each batch).
 
 use dpd::core::pipeline::DpdBuilder;
-use dpd::core::shard::{MultiStreamEvent, StreamId};
-use dpd::runtime::service::{MultiStreamDpd, ShardStats};
+use dpd::core::shard::{MultiStreamEvent, StreamId, TableStats};
+use dpd::runtime::service::MultiStreamDpd;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -58,8 +58,8 @@ fn run(
     shards: usize,
     window: usize,
     evict_after: u64,
-) -> (Vec<MultiStreamEvent>, ShardStats) {
-    let mut builder = DpdBuilder::new().window(window).keyed().shards(shards);
+) -> (Vec<MultiStreamEvent>, TableStats) {
+    let mut builder = DpdBuilder::new().window(window).shards(shards);
     if evict_after > 0 {
         builder = builder.evict_after(evict_after);
     }
@@ -95,13 +95,7 @@ fn run(
     }
     let (tail, snapshot) = svc.finish();
     events.extend(tail);
-    // Queue depth and batch counts are shard-frontend bookkeeping (zero in
-    // inline mode, per-worker in sharded mode); zero them so totals are
-    // comparable across shard counts and against a raw table.
-    let mut t = snapshot.total();
-    t.queue_depth = 0;
-    t.batches = 0;
-    (events, t)
+    (events, snapshot.total())
 }
 
 fn by_stream(events: &[MultiStreamEvent]) -> BTreeMap<u64, Vec<MultiStreamEvent>> {
@@ -186,14 +180,12 @@ proptest! {
         }
     }
 
-    /// Satellite of the slab rewrite: both service rollup paths (the
-    /// inline snapshot arm and the worker-side publish refresh) map table
-    /// stats through the single `ShardStats::from_table` helper. A raw
-    /// `StreamTable` fed the service's exact schedule must therefore
-    /// produce — through that same helper — the service's published
-    /// totals, field by field, tier counters included.
+    /// Both service modes publish every `TableStats` field through the
+    /// registry and read it back. A raw `StreamTable` fed the service's
+    /// exact schedule must therefore produce the service's published
+    /// totals, whole: tier, creation and forecast counters included.
     #[test]
-    fn service_rollups_equal_raw_table_through_one_helper(
+    fn service_rollups_equal_raw_table(
         words in collection::vec(any::<u64>(), 5..40),
         streams in 1u64..8,
         evict in 10u64..120,
@@ -233,7 +225,7 @@ proptest! {
         }
         table.sweep(seq);
         table.close_all(seq, &mut sink);
-        let expected = ShardStats::from_table(&table.stats());
+        let expected = table.stats();
         for shards in [0usize, 3] {
             let (_, stats) = run(&ops, shards, 8, evict);
             prop_assert_eq!(stats, expected, "shards={} evict={}", shards, evict);

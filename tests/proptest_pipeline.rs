@@ -1,6 +1,6 @@
 //! Differential property tests: the unified `DpdBuilder` pipeline (or the
-//! Table 1 interface, or the keyed pipeline) and the raw stack the same
-//! options build report bit-identical behaviour.
+//! Table 1 interface, or the inline multi-stream service) and the raw stack
+//! the same options build report bit-identical behaviour.
 //!
 //! For random segmented traces (phase changes included) and random
 //! configurations, each pair below must agree **byte for byte**: the full
@@ -197,9 +197,9 @@ fn schedule_from_words(words: &[u64], streams: u64) -> Schedule {
 }
 
 /// Table-scale options (eviction, forecasting, memory budget, cold
-/// summaries): the raw `build_table` loop and the `build_keyed` pipeline
-/// agree — identical unified events and rollups (including tier
-/// counters).
+/// summaries): the raw `build_table` loop and the inline service
+/// (`shards(0)`) agree — identical events and whole rollups (tier,
+/// creation and forecast counters included).
 fn check_keyed_tiered(
     schedule: &Schedule,
     window: usize,
@@ -208,7 +208,7 @@ fn check_keyed_tiered(
     budget_streams: u64,
     horizon: usize,
 ) {
-    let mut builder = DpdBuilder::new().window(window).keyed();
+    let mut builder = DpdBuilder::new().window(window);
     if evict_after > 0 {
         builder = builder.evict_after(evict_after);
     }
@@ -236,17 +236,18 @@ fn check_keyed_tiered(
         raw_table.ingest(seq, StreamId(*stream), samples, &mut raw_events);
         seq += samples.len() as u64;
     }
+    // The order `finish` uses: a final-clock sweep, then close every
+    // live stream.
+    raw_table.sweep(seq);
     raw_table.close_all(seq, &mut raw_events);
-    let raw_unified: Vec<(StreamId, DpdEvent)> =
-        raw_events.iter().map(DpdEvent::from_multi_stream).collect();
 
-    let mut keyed = builder.sweep_every(0).build_keyed(Vec::new()).unwrap();
+    let mut svc = MultiStreamDpd::from_builder(&builder.sweep_every(0).shards(0)).unwrap();
     for (stream, samples) in schedule {
-        keyed.ingest(StreamId(*stream), samples);
+        svc.push(StreamId(*stream), samples);
     }
-    keyed.close_all();
-    assert_eq!(keyed.sink(), &raw_unified, "{ctx}");
-    assert_eq!(keyed.table().stats(), raw_table.stats(), "{ctx}: rollups");
+    let (events, snapshot) = svc.finish();
+    assert_eq!(events, raw_events, "{ctx}");
+    assert_eq!(snapshot.total(), raw_table.stats(), "{ctx}: rollups");
     let st = raw_table.stats();
     assert!(
         st.promoted <= st.demoted,
@@ -360,7 +361,7 @@ proptest! {
     }
 
     /// Table-scale options: memory budget and cold summaries behave
-    /// identically through the raw table and the keyed pipeline.
+    /// identically through the raw table and the inline service.
     #[test]
     fn tiered_table_paths_bit_identical(
         words in collection::vec(any::<u64>(), 1..16),

@@ -42,7 +42,7 @@ fn detector_builder() -> DpdBuilder {
 }
 
 fn table_builder() -> DpdBuilder {
-    DpdBuilder::new().window(8).forecast(2).keyed()
+    DpdBuilder::new().window(8).forecast(2)
 }
 
 /// Forecasting, idle eviction (sweeps every 240 samples) and two

@@ -103,7 +103,6 @@ fn close_after_sweep_evict_is_a_silent_noop() {
 fn reopen_after_close_starts_fresh() {
     let mut table = DpdBuilder::new()
         .window(8)
-        .keyed()
         .forecast(1)
         .build_table()
         .unwrap();
