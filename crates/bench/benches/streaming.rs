@@ -13,7 +13,14 @@
 //! `streaming/warmup` times warmup alone, and `streaming/push_locked` and
 //! `streaming/push_searching` an already-warm detector on a clean address
 //! loop and on one whose insertions keep it searching, as a wide window
-//! over a real address trace does.
+//! over a real address trace does. `streaming/push_distinct` feeds a warm
+//! detector a value it has never seen at every sample: the worst case for
+//! the symbol codebook wide windows keep, which must hand out and release
+//! a code per sample.
+//!
+//! The pre-warmed and warmup groups run windows 16–1024 including 128 and
+//! 512, which bracket the crossover where the detector switches from
+//! `i64` history to 16-bit symbol codes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpd_core::incremental::{EngineConfig, IncrementalEngine};
@@ -73,12 +80,15 @@ fn addresses(period: usize, len: usize, per_mille: u64, seed: u64) -> Vec<i64> {
 /// about eight insertions at 1 per mille.
 const PREWARMED_LEN: usize = 8192;
 
+/// Windows of the pre-warmed and warmup groups.
+const WINDOWS: [usize; 6] = [16, 64, 128, 256, 512, 1024];
+
 /// A detector already past its `N + M` warmup, fed `PREWARMED_LEN` more
-/// address samples per iteration.
-fn bench_push_prewarmed(c: &mut Criterion, group: &str, per_mille: u64) {
+/// samples of `stream(len)` per iteration.
+fn bench_push_prewarmed(c: &mut Criterion, group: &str, stream: impl Fn(usize) -> Vec<i64>) {
     let mut g = c.benchmark_group(group);
-    for &n in &[16usize, 64, 256, 1024] {
-        let data = addresses(7, 2 * n + PREWARMED_LEN, per_mille, 0x5eed);
+    for &n in &WINDOWS {
+        let data = stream(2 * n + PREWARMED_LEN);
         let (prefix, timed) = data.split_at(2 * n);
         let mut warm = DpdBuilder::new().window(n).build_detector().unwrap();
         warm.push_slice(prefix);
@@ -103,18 +113,30 @@ fn bench_push_prewarmed(c: &mut Criterion, group: &str, per_mille: u64) {
 
 fn bench_push_locked_per_window(c: &mut Criterion) {
     // A clean loop: the detector stays locked on period 7.
-    bench_push_prewarmed(c, "streaming/push_locked", 0);
+    bench_push_prewarmed(c, "streaming/push_locked", |len| {
+        addresses(7, len, 0, 0x5eed)
+    });
 }
 
 fn bench_push_searching_per_window(c: &mut Criterion) {
     // Apps-like insertions keep wide windows searching.
-    bench_push_prewarmed(c, "streaming/push_searching", 1);
+    bench_push_prewarmed(c, "streaming/push_searching", |len| {
+        addresses(7, len, 1, 0x5eed)
+    });
+}
+
+fn bench_push_distinct_per_window(c: &mut Criterion) {
+    // Every sample a new address: the detector never locks, and every
+    // sample enters as a new value while the oldest leaves.
+    bench_push_prewarmed(c, "streaming/push_distinct", |len| {
+        (0..len as i64).map(|i| 0x40_0000 + i * 0x40).collect()
+    });
 }
 
 fn bench_warmup_per_window(c: &mut Criterion) {
     // A fresh detector fed exactly its N + M warmup samples.
     let mut g = c.benchmark_group("streaming/warmup");
-    for &n in &[16usize, 64, 256, 1024] {
+    for &n in &WINDOWS {
         let data = addresses(7, 2 * n, 1, 0x5eed);
         g.throughput(Throughput::Elements(data.len() as u64));
         g.bench_with_input(BenchmarkId::new("window", n), &n, |b, &n| {
@@ -238,6 +260,7 @@ criterion_group!(
     bench_push_per_window,
     bench_push_locked_per_window,
     bench_push_searching_per_window,
+    bench_push_distinct_per_window,
     bench_warmup_per_window,
     bench_push_slice_per_window,
     bench_engine_batch_vs_single,

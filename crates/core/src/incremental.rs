@@ -30,8 +30,26 @@
 //!   `m <= min(t-1-N, M)` — two range loops over contiguous runs of slots;
 //! * **the zero test** ([`IncrementalEngine::first_zero`], equation (2)
 //!   after every sample): the complete delays `1..=min(len-N, M)` are the
-//!   last slots, scanned from delay 1 upwards 16 at a time with a
+//!   last slots, scanned from delay 1 upwards a chunk at a time with a
 //!   branch-free compare per chunk.
+//!
+//! Those loops run over one of two layouts, fixed at construction and
+//! re-chosen by [`IncrementalEngine::reconfigure`]:
+//!
+//! * **values** — the samples themselves and `f64` sums of
+//!   [`Metric::pair`]: 24 bytes streamed per delay for `i64` samples. Every
+//!   engine a caller constructs directly uses it, and so does every
+//!   configuration below the crossover.
+//! * **codes** — for the equation-(2) detector over `i64` identifiers that
+//!   `dpd-core` builds itself (builder, scale bank, stream table, restore)
+//!   when `M >= CODES_FROM` (128). Equation (2) only tests equality, so
+//!   history holds a 16-bit code per sample and each delay a 16-bit
+//!   mismatch count: 6 bytes per delay, which at `N = M = 1024` is the
+//!   traffic the values layout has at `N = 256`. A per-engine codebook
+//!   maps each distinct retained value to its code and releases the code
+//!   when its last sample leaves history. Counts are exact, so every
+//!   observable — sums, spectra, detections, snapshot bytes — is
+//!   bit-identical to the values layout; codes never leave the process.
 //!
 //! No per-delay pair counts are stored: delay `m` over `len` retained
 //! samples always holds `min(len - m, N)` pairs, which is all
@@ -58,14 +76,40 @@ use crate::metric::Metric;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::spectrum::Spectrum;
 use crate::window::MirroredHistory;
+use std::hash::{BuildHasher, RandomState};
+use std::ops::{AddAssign, SubAssign};
 
 /// Block length for steady-state batch ingestion. Sized so the working set
 /// (history slice of `N + M + BLOCK` samples plus the `M`-entry sums array)
 /// stays cache-resident for the window sizes the paper uses (`N <= 1024`).
 const STEADY_BLOCK: usize = 64;
 
-/// Delays per chunk of the [`IncrementalEngine::first_zero`] scan.
+/// Delays per chunk of the [`IncrementalEngine::first_zero`] scan over
+/// `f64` sums.
 const ZERO_SCAN: usize = 16;
+
+/// Delays per chunk of the zero scan over 16-bit counts: 64 bytes, as
+/// [`ZERO_SCAN`] sums are.
+const COUNT_SCAN: usize = 32;
+
+/// Fewest candidate delays `M` at which an identifier engine keeps codes.
+/// Per sample the codebook costs a lookup and the kernel saves 18 of 24
+/// bytes per delay, which pays only over enough delays. Paired
+/// `streaming` bench medians, ns per pushed sample, values layout → codes
+/// (seven alternating runs, 2 vCPUs, AVX-512; the window-64 codes figures
+/// come from a build with this constant at 64):
+///
+/// | window | `push_locked` | `push_searching` |
+/// |---|---|---|
+/// | 64 | 55.7 → 60.7 | 54.6 → 59.5 |
+/// | 128 | 86.4 → 63.4 | 92.2 → 69.2 |
+///
+/// At 64 codes are 8% slower on both rows; at 128 they are 33–36% faster.
+const CODES_FROM: usize = 128;
+
+/// Marks a vacant slot of a [`Codebook`] index and an empty free list, so
+/// the live codes, at most the history capacity, must stay below it.
+const VACANT: u16 = u16::MAX;
 
 /// Configuration of an [`IncrementalEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +162,19 @@ fn pair_count(len: usize, m: usize, n: usize) -> usize {
     len.saturating_sub(m).min(n)
 }
 
+/// The equation-(2) pair over codes: `1` for a mismatch.
+#[inline]
+fn mismatch(current: u16, delayed: u16) -> u16 {
+    u16::from(current != delayed)
+}
+
+/// The mismatch count an event-metric `sum` over `pairs` pairs stands for:
+/// a whole number from `+0.0` to `pairs`. Anything else (negative, `-0.0`,
+/// fractional, NaN, too large) no engine could have accumulated.
+fn event_count(sum: f64, pairs: usize) -> Option<u16> {
+    (sum.is_sign_positive() && sum.fract() == 0.0 && sum <= pairs as f64).then_some(sum as u16)
+}
+
 /// Bit `i` set when `chunk[i] == 0.0`: one vector compare per chunk.
 #[inline]
 fn zero_mask(chunk: &[f64; ZERO_SCAN]) -> u32 {
@@ -127,16 +184,475 @@ fn zero_mask(chunk: &[f64; ZERO_SCAN]) -> u32 {
         .fold(0, |mask, (i, &s)| mask | (u32::from(s == 0.0) << i))
 }
 
+/// Smallest delay whose sum is zero, over `complete`, the sums of the
+/// complete delays in descending order (`complete[j]` holds delay
+/// `complete.len() - j`): scanned from delay 1 upwards in chunks of 16
+/// whose zero test is one branch-free compare.
+fn first_zero_sum(complete: &[f64]) -> Option<usize> {
+    let (head, chunks) = complete.as_rchunks::<ZERO_SCAN>();
+    for (c, chunk) in chunks.iter().rev().enumerate() {
+        let mask = zero_mask(chunk);
+        if mask != 0 {
+            // chunk[i] holds delay ZERO_SCAN * (c + 1) - i; the highest
+            // set bit is the smallest delay.
+            let i = (u32::BITS - 1 - mask.leading_zeros()) as usize;
+            return Some(ZERO_SCAN * (c + 1) - i);
+        }
+    }
+    head.iter()
+        .rposition(|&s| s == 0.0)
+        .map(|j| complete.len() - j)
+}
+
+/// [`first_zero_sum`] over mismatch counts, 32 per chunk. Each chunk's
+/// test is an OR of its compares, a vector reduction; only the chunk that
+/// holds a zero is searched for its position.
+fn first_zero_count(complete: &[u16]) -> Option<usize> {
+    let (head, chunks) = complete.as_rchunks::<COUNT_SCAN>();
+    for (c, chunk) in chunks.iter().rev().enumerate() {
+        if chunk.iter().fold(false, |zero, &n| zero | (n == 0)) {
+            let i = chunk.iter().rposition(|&n| n == 0).expect("a zero count");
+            return Some(COUNT_SCAN * (c + 1) - i);
+        }
+    }
+    head.iter()
+        .rposition(|&n| n == 0)
+        .map(|j| complete.len() - j)
+}
+
+/// How the samples of an equation-(2) engine over identifiers map to and
+/// from the `i64` keys its [`Codebook`] stores. A generic engine cannot
+/// name its sample type, so the code paths that build the `i64` event
+/// detector hand one in ([`IDENTIFIERS`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Symbols<T> {
+    key: fn(T) -> i64,
+    value: fn(i64) -> T,
+}
+
+/// The event detector's samples: `i64` identifiers, their own keys.
+pub(crate) const IDENTIFIERS: Symbols<i64> = Symbols {
+    key: |v| v,
+    value: |k| k,
+};
+
+/// One layout's state: a mirrored history of `H` and per-delay
+/// accumulators `S` in descending delay order (slot `M - m` holds delay
+/// `m`). The kernels are generic over the pair contribution so both
+/// layouts share one copy of the slot arithmetic.
+#[derive(Debug, Clone)]
+struct Lanes<H, S> {
+    history: MirroredHistory<H>,
+    sums: Box<[S]>,
+}
+
+impl<H: Copy, S: Copy + Default + AddAssign + SubAssign> Lanes<H, S> {
+    fn new(capacity: usize, m_max: usize) -> Self {
+        Lanes {
+            history: MirroredHistory::new(capacity),
+            sums: vec![S::default(); m_max].into_boxed_slice(),
+        }
+    }
+
+    /// Write one sample to history with `record`, then update the sums:
+    /// the steady kernel once `N + M` samples are retained, else warmup.
+    #[inline]
+    fn push(
+        &mut self,
+        n: usize,
+        record: impl FnOnce(&mut MirroredHistory<H>),
+        pair: impl Fn(H, H) -> S,
+    ) {
+        let steady = self.history.len() >= n + self.sums.len();
+        record(&mut self.history);
+        if steady {
+            self.steady(n, 1, pair);
+        } else {
+            self.warm(n, pair);
+        }
+    }
+
+    /// Warmup update after the newest sample was written to history, for
+    /// the first `N + M` samples after construction, reset or a
+    /// reconfigure. With `t` samples retained, the incoming pair
+    /// `(x[t], x[t-m])` exists for `m <= min(t-1, M)` and the outgoing pair
+    /// `(x[t-N], x[t-N-m])` for `m <= min(t-1-N, M)`, the delays whose frame
+    /// was already full. Both are contiguous runs of slots, so each is one
+    /// forward loop; every accumulator still sees `+= incoming` before
+    /// `-= outgoing`.
+    #[inline]
+    fn warm(&mut self, n: usize, pair: impl Fn(H, H) -> S) {
+        let m_max = self.sums.len();
+        let h = self.history.as_slice();
+        let newest = h.len() - 1; // index of x[t]; x[t-m] is h[newest - m]
+
+        let k_in = newest.min(m_max);
+        let cur = h[newest];
+        for (s, &d) in self.sums[m_max - k_in..]
+            .iter_mut()
+            .zip(&h[newest - k_in..newest])
+        {
+            *s += pair(cur, d);
+        }
+
+        if let Some(out) = newest.checked_sub(n) {
+            // h[out] is x[t-N]; x[t-N-m] is h[out - m].
+            let k_out = out.min(m_max);
+            let out_cur = h[out];
+            for (s, &d) in self.sums[m_max - k_out..]
+                .iter_mut()
+                .zip(&h[out - k_out..out])
+            {
+                *s -= pair(out_cur, d);
+            }
+        }
+    }
+
+    /// Steady-state update for the trailing `block` samples already
+    /// written to history. For each sample the per-delay work is a pure
+    /// streaming kernel: broadcast the incoming/outgoing anchors, zip the
+    /// sums forward with the two history slices holding `x[t-M..t-1]` and
+    /// `x[t-N-M..t-N-1]`, accumulate. No branches, no modulo —
+    /// auto-vectorizable.
+    ///
+    /// Per accumulator the operation order is identical to sample-by-sample
+    /// ingestion (`+= incoming` then `-= outgoing`, in stream order), so
+    /// results are bit-identical to repeated `push`.
+    #[inline]
+    fn steady(&mut self, n: usize, block: usize, pair: impl Fn(H, H) -> S) {
+        let m_max = self.sums.len();
+        let h = self.history.tail(n + m_max + block);
+        for i in 0..block {
+            // Stream indices within `h`: current sample at n + m_max + i.
+            let cur = h[n + m_max + i];
+            let out_cur = h[m_max + i];
+            // Slot j holds delay m_max - j: delayed[j] == x[t - m] and
+            // out_delayed[j] == x[t - N - m].
+            let delayed = &h[n + i..n + m_max + i];
+            let out_delayed = &h[i..m_max + i];
+            for ((s, &d_in), &d_out) in self.sums.iter_mut().zip(delayed).zip(out_delayed) {
+                *s += pair(cur, d_in);
+                *s -= pair(out_cur, d_out);
+            }
+        }
+    }
+
+    /// Recompute every sum from the retained history.
+    fn resync(&mut self, n: usize, pair: impl Fn(H, H) -> S) {
+        let m_max = self.sums.len();
+        let h = self.history.as_slice();
+        let avail = h.len();
+        for m in 1..=m_max {
+            // Pairs exist for current ages 0..pairs.
+            let mut sum = S::default();
+            for age in 0..pair_count(avail, m, n) {
+                sum += pair(h[avail - 1 - age], h[avail - 1 - age - m]);
+            }
+            self.sums[m_max - m] = sum;
+        }
+    }
+
+    /// Forget the history and zero the sums, keeping both allocations.
+    fn clear(&mut self) {
+        self.history.clear();
+        self.sums.fill(S::default());
+    }
+
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        2 * self.history.capacity() * std::mem::size_of::<H>()
+            + self.sums.len() * std::mem::size_of::<S>()
+    }
+}
+
+/// Maps each distinct value retained by a code-layout engine to a `u16`
+/// code.
+///
+/// A value gets a code when it first enters history and keeps it while any
+/// retained sample holds it: `refs` counts those samples, and the code is
+/// released, for reuse, when the last one is evicted. The live codes
+/// therefore never outnumber the history's capacity (`limit`). Each code's
+/// key is stored once, in `keys`; the lookup index is a linear-probing
+/// table of codes compared through `keys`, kept at most 3/4 full, so even
+/// all-distinct input at `N = M = 1024` needs 10 bytes per code plus a
+/// 4096-slot index. Samples come from clients, so the hash is keyed by a
+/// random multiplier per codebook: values crafted to share one probe run
+/// would otherwise make every lookup walk all live codes.
+#[derive(Debug, Clone)]
+struct Codebook<T> {
+    symbols: Symbols<T>,
+    /// Random odd multiplier of [`Codebook::home`].
+    multiplier: u64,
+    /// Code → key of its value; a released code's entry instead links the
+    /// next released code.
+    keys: Vec<i64>,
+    /// Code → retained samples holding it (0 once released).
+    refs: Vec<u16>,
+    /// Most recently released code, or [`VACANT`].
+    free: u16,
+    /// Power-of-two table of live codes ([`VACANT`] marks an empty slot).
+    index: Vec<u16>,
+    /// `64 - log2(index.len())`: turns a hashed key into a home slot.
+    shift: u32,
+    /// Live codes.
+    live: usize,
+    /// The history capacity: the most codes ever live at once.
+    limit: usize,
+}
+
+/// Slots of a fresh codebook index.
+const INDEX_MIN: usize = 16;
+
+impl<T: Copy> Codebook<T> {
+    fn new(symbols: Symbols<T>, limit: usize) -> Self {
+        Codebook {
+            symbols,
+            multiplier: RandomState::new().hash_one(limit) | 1,
+            keys: Vec::new(),
+            refs: Vec::new(),
+            free: VACANT,
+            index: vec![VACANT; INDEX_MIN],
+            shift: u64::BITS - INDEX_MIN.trailing_zeros(),
+            live: 0,
+            limit,
+        }
+    }
+
+    /// The value `code` stands for.
+    #[inline]
+    fn value(&self, code: u16) -> T {
+        (self.symbols.value)(self.keys[usize::from(code)])
+    }
+
+    /// Append `sample`'s code to `history`, first releasing the code of the
+    /// sample a full history evicts (so at most `limit` codes are live).
+    #[inline]
+    fn record(&mut self, history: &mut MirroredHistory<u16>, sample: T) {
+        if history.is_full() {
+            let evicted = history.ago(history.capacity() - 1).expect("full history");
+            self.release(evicted);
+        }
+        let code = self.intern((self.symbols.key)(sample));
+        history.push(code);
+    }
+
+    /// Home slot of `key`: the top bits of `key` times the codebook's odd
+    /// multiplier. Multiply-shift with a random multiplier is a universal
+    /// hash family, so crafted keys collide no more often than chance, and
+    /// like Fibonacci hashing it spreads the arithmetic runs of a trace's
+    /// aligned addresses evenly.
+    #[inline]
+    fn home(&self, key: i64) -> usize {
+        ((key as u64).wrapping_mul(self.multiplier) >> self.shift) as usize
+    }
+
+    /// The code of `key`, counting one more retained sample holding it.
+    fn intern(&mut self, key: i64) -> u16 {
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            let code = self.index[slot];
+            if code == VACANT {
+                break;
+            }
+            if self.keys[usize::from(code)] == key {
+                self.refs[usize::from(code)] += 1;
+                return code;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let code = if self.free == VACANT {
+            let code = self.keys.len();
+            reserve_one(&mut self.keys, self.limit);
+            reserve_one(&mut self.refs, self.limit);
+            self.keys.push(key);
+            self.refs.push(1);
+            code as u16
+        } else {
+            let code = self.free;
+            let c = usize::from(code);
+            self.free = self.keys[c] as u16;
+            self.keys[c] = key;
+            self.refs[c] = 1;
+            code
+        };
+        self.live += 1;
+        if 4 * self.live > 3 * self.index.len() {
+            self.rehash(2 * self.index.len());
+        } else {
+            self.index[slot] = code;
+        }
+        code
+    }
+
+    /// Count one fewer retained sample holding `code`; release it when none
+    /// is left, closing its index slot by backward shift (no tombstones).
+    fn release(&mut self, code: u16) {
+        let c = usize::from(code);
+        self.refs[c] -= 1;
+        if self.refs[c] > 0 {
+            return;
+        }
+        let mask = self.index.len() - 1;
+        let mut hole = self.home(self.keys[c]);
+        while self.index[hole] != code {
+            hole = (hole + 1) & mask;
+        }
+        let mut next = (hole + 1) & mask;
+        while self.index[next] != VACANT {
+            let moved = self.index[next];
+            let home = self.home(self.keys[usize::from(moved)]);
+            // `moved` may fill the hole when its probe from `home` passes
+            // the hole before reaching `next`.
+            if hole.wrapping_sub(home) & mask < next.wrapping_sub(home) & mask {
+                self.index[hole] = moved;
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.index[hole] = VACANT;
+        self.keys[c] = i64::from(self.free);
+        self.free = code;
+        self.live -= 1;
+    }
+
+    /// Rebuild the index with `slots` slots around the live codes.
+    fn rehash(&mut self, slots: usize) {
+        self.index.clear();
+        self.index.resize(slots, VACANT);
+        self.shift = u64::BITS - slots.trailing_zeros();
+        let mask = slots - 1;
+        for (code, _) in self.refs.iter().enumerate().filter(|(_, &r)| r > 0) {
+            let mut slot = self.home(self.keys[code]);
+            while self.index[slot] != VACANT {
+                slot = (slot + 1) & mask;
+            }
+            self.index[slot] = code as u16;
+        }
+    }
+
+    /// Release every code, keeping every allocation.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.refs.clear();
+        self.free = VACANT;
+        self.index.fill(VACANT);
+        self.live = 0;
+    }
+
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * 8 + (self.refs.capacity() + self.index.capacity()) * 2
+    }
+}
+
+/// Room for one more element of `v`, growing by at most doubling and never
+/// past `limit` elements, so a codebook's arrays top out at its limit.
+fn reserve_one<E>(v: &mut Vec<E>, limit: usize) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(v.len().max(8).min(limit - v.len()));
+    }
+}
+
+/// The code layout's history and counts, and the codebook behind them.
+#[derive(Debug, Clone)]
+struct Codes<T> {
+    lanes: Lanes<u16, u16>,
+    book: Codebook<T>,
+}
+
+/// The engine's history and sums in one of its two layouts (see the
+/// module docs).
+#[derive(Debug, Clone)]
+enum Layout<T> {
+    /// Samples and `f64` sums of [`Metric::pair`].
+    Values(Lanes<T, f64>),
+    /// 16-bit codes and mismatch counts, for an identifier engine. Boxed
+    /// so that an engine is no larger than a values-only engine was: the
+    /// stream table prices a hot stream by its size.
+    Codes(Box<Codes<T>>),
+}
+
+impl<T: Copy> Layout<T> {
+    /// The empty layout for `config`: codes for an identifier engine at
+    /// [`CODES_FROM`] delays or more whose history fits the code space,
+    /// values otherwise.
+    fn empty(config: EngineConfig, symbols: Option<Symbols<T>>) -> Self {
+        let capacity = config.history_capacity();
+        match symbols {
+            Some(symbols) if config.m_max >= CODES_FROM && capacity <= usize::from(VACANT) => {
+                Layout::Codes(Box::new(Codes {
+                    lanes: Lanes::new(capacity, config.m_max),
+                    book: Codebook::new(symbols, capacity),
+                }))
+            }
+            _ => Layout::Values(Lanes::new(capacity, config.m_max)),
+        }
+    }
+
+    /// Write one sample to history.
+    #[inline]
+    fn record(&mut self, sample: T) {
+        match self {
+            Layout::Values(lanes) => lanes.history.push(sample),
+            Layout::Codes(c) => c.book.record(&mut c.lanes.history, sample),
+        }
+    }
+
+    /// Samples retained.
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            Layout::Values(lanes) => lanes.history.len(),
+            Layout::Codes(c) => c.lanes.history.len(),
+        }
+    }
+
+    /// The sum in `slot`, as the values layout would hold it: counts
+    /// convert exactly.
+    #[inline]
+    fn sum(&self, slot: usize) -> f64 {
+        match self {
+            Layout::Values(lanes) => lanes.sums[slot],
+            Layout::Codes(c) => f64::from(c.lanes.sums[slot]),
+        }
+    }
+
+    /// The retained sample pushed `age` steps ago.
+    #[inline]
+    fn ago(&self, age: usize) -> Option<T> {
+        match self {
+            Layout::Values(lanes) => lanes.history.ago(age),
+            Layout::Codes(c) => c.lanes.history.ago(age).map(|code| c.book.value(code)),
+        }
+    }
+
+    /// Lifetime pushes into history (and its restore-time setter).
+    fn history_pushed(&self) -> u64 {
+        match self {
+            Layout::Values(lanes) => lanes.history.pushed(),
+            Layout::Codes(c) => c.lanes.history.pushed(),
+        }
+    }
+
+    fn set_history_pushed(&mut self, n: u64) {
+        match self {
+            Layout::Values(lanes) => lanes.history.set_pushed(n),
+            Layout::Codes(c) => c.lanes.history.set_pushed(n),
+        }
+    }
+}
+
 /// O(M)-per-sample sliding computation of `d(m)` for all `m <= M`.
 #[derive(Debug, Clone)]
 pub struct IncrementalEngine<T, M: Metric<T>> {
     metric: M,
     config: EngineConfig,
-    /// Last `N + M + STEADY_BLOCK` samples, mirrored for contiguous reads.
-    history: MirroredHistory<T>,
-    /// Running pair-sums in descending delay order: slot `M - m` holds
-    /// delay `m`.
-    sums: Vec<f64>,
+    /// Set for an equation-(2) engine over identifiers, which keeps codes
+    /// when its configuration is wide; `None` for every other engine.
+    symbols: Option<Symbols<T>>,
+    /// The last `N + M + STEADY_BLOCK` samples and the running pair-sums.
+    layout: Layout<T>,
     /// Total samples pushed.
     pushed: u64,
 }
@@ -144,12 +660,24 @@ pub struct IncrementalEngine<T, M: Metric<T>> {
 impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     /// Create an engine with the given metric and configuration.
     pub fn new(metric: M, config: EngineConfig) -> crate::Result<Self> {
+        Self::with_symbols(metric, config, None)
+    }
+
+    /// [`IncrementalEngine::new`], for an equation-(2) engine over
+    /// identifiers when `symbols` is set: `metric` must then be
+    /// [`EventMetric`](crate::metric::EventMetric), whose pair is exactly
+    /// the mismatch of the keys `symbols` gives.
+    pub(crate) fn with_symbols(
+        metric: M,
+        config: EngineConfig,
+        symbols: Option<Symbols<T>>,
+    ) -> crate::Result<Self> {
         config.validate()?;
         Ok(IncrementalEngine {
             metric,
-            history: MirroredHistory::new(config.history_capacity()),
-            sums: vec![0.0; config.m_max],
             config,
+            symbols,
+            layout: Layout::empty(config, symbols),
             pushed: 0,
         })
     }
@@ -183,20 +711,20 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     /// every delay both gains an incoming pair and sheds an outgoing one.
     #[inline]
     fn next_push_is_steady(&self) -> bool {
-        self.history.len() >= self.warmup_len()
+        self.layout.len() >= self.warmup_len()
     }
 
     /// Pairs currently summed for delay `m` (`1 <= m <= M`).
     #[inline]
     fn pairs(&self, m: usize) -> usize {
-        pair_count(self.history.len(), m, self.config.frame)
+        pair_count(self.layout.len(), m, self.config.frame)
     }
 
     /// Number of complete delays: exactly `1..=complete_delays()` hold a
     /// full frame of `N` pairs.
     #[inline]
     fn complete_delays(&self) -> usize {
-        self.history
+        self.layout
             .len()
             .saturating_sub(self.config.frame)
             .min(self.config.m_max)
@@ -205,13 +733,18 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     /// Push one sample, updating every `d(m)` in O(M).
     #[inline]
     pub fn push(&mut self, sample: T) {
-        if self.next_push_is_steady() {
-            self.history.push(sample);
-            self.pushed += 1;
-            self.steady_update(1);
-        } else {
-            self.warm_push(sample);
+        let n = self.config.frame;
+        let metric = &self.metric;
+        match &mut self.layout {
+            Layout::Values(lanes) => {
+                lanes.push(n, |h| h.push(sample), |a, b| metric.pair(a, b));
+            }
+            Layout::Codes(c) => {
+                let Codes { lanes, book } = &mut **c;
+                lanes.push(n, |h| book.record(h, sample), mismatch);
+            }
         }
+        self.pushed += 1;
         self.maybe_resync();
     }
 
@@ -224,8 +757,7 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
 
         // Warmup: per-sample range loops until every delay is complete.
         while !rest.is_empty() && !self.next_push_is_steady() {
-            self.warm_push(rest[0]);
-            self.maybe_resync();
+            self.push(rest[0]);
             rest = &rest[1..];
         }
 
@@ -240,7 +772,9 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
                 block = block.min(until_boundary as usize);
             }
             let (now, later) = rest.split_at(block);
-            self.history.extend_from_slice(now);
+            for &s in now {
+                self.layout.record(s);
+            }
             self.pushed += block as u64;
             self.steady_update(block);
             if interval > 0 && self.pushed.is_multiple_of(interval) {
@@ -250,71 +784,14 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         }
     }
 
-    /// Warmup-path push, for the first `N + M` samples after construction,
-    /// [`IncrementalEngine::reset`] or a reconfigure. With `t` samples
-    /// retained after the push, the incoming pair `(x[t], x[t-m])` exists
-    /// for `m <= min(t-1, M)` and the outgoing pair `(x[t-N], x[t-N-m])`
-    /// for `m <= min(t-1-N, M)`, the delays whose frame was already full.
-    /// Both are contiguous runs of slots, so each is one forward loop;
-    /// every accumulator still sees `+= incoming` before `-= outgoing`.
-    fn warm_push(&mut self, sample: T) {
-        let n = self.config.frame;
-        let m_max = self.config.m_max;
-        self.history.push(sample);
-        self.pushed += 1;
-        let h = self.history.as_slice();
-        let newest = h.len() - 1; // index of x[t]; x[t-m] is h[newest - m]
-        let metric = &self.metric;
-
-        let k_in = newest.min(m_max);
-        let cur = h[newest];
-        for (s, &d) in self.sums[m_max - k_in..]
-            .iter_mut()
-            .zip(&h[newest - k_in..newest])
-        {
-            *s += metric.pair(cur, d);
-        }
-
-        if let Some(out) = newest.checked_sub(n) {
-            // h[out] is x[t-N]; x[t-N-m] is h[out - m].
-            let k_out = out.min(m_max);
-            let out_cur = h[out];
-            for (s, &d) in self.sums[m_max - k_out..]
-                .iter_mut()
-                .zip(&h[out - k_out..out])
-            {
-                *s -= metric.pair(out_cur, d);
-            }
-        }
-    }
-
-    /// Steady-state spectrum update for the trailing `block` samples already
-    /// written to history. For each sample the per-delay work is a pure
-    /// streaming kernel: broadcast the incoming/outgoing anchors, zip the
-    /// sums forward with the two history slices holding `x[t-M..t-1]` and
-    /// `x[t-N-M..t-N-1]`, accumulate. No branches, no modulo —
-    /// auto-vectorizable.
-    ///
-    /// Per accumulator the operation order is identical to sample-by-sample
-    /// ingestion (`+= incoming` then `-= outgoing`, in stream order), so
-    /// results are bit-identical to repeated `push`.
+    /// Steady-state update for the trailing `block` samples already written
+    /// to history.
     fn steady_update(&mut self, block: usize) {
         let n = self.config.frame;
-        let m_max = self.config.m_max;
-        let h = self.history.tail(n + m_max + block);
         let metric = &self.metric;
-        for i in 0..block {
-            // Stream indices within `h`: current sample at n + m_max + i.
-            let cur = h[n + m_max + i];
-            let out_cur = h[m_max + i];
-            // Slot j holds delay m_max - j: delayed[j] == x[t - m] and
-            // out_delayed[j] == x[t - N - m].
-            let delayed = &h[n + i..n + m_max + i];
-            let out_delayed = &h[i..m_max + i];
-            for ((s, &d_in), &d_out) in self.sums.iter_mut().zip(delayed).zip(out_delayed) {
-                *s += metric.pair(cur, d_in);
-                *s -= metric.pair(out_cur, d_out);
-            }
+        match &mut self.layout {
+            Layout::Values(lanes) => lanes.steady(n, block, |a, b| metric.pair(a, b)),
+            Layout::Codes(c) => c.lanes.steady(n, block, mismatch),
         }
     }
 
@@ -331,16 +808,10 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     /// floating-point drift for inexact metrics; a no-op semantically.
     pub fn resync(&mut self) {
         let n = self.config.frame;
-        let m_max = self.config.m_max;
-        let h = self.history.as_slice();
-        let avail = h.len();
-        for m in 1..=m_max {
-            // Pairs exist for current ages 0..pairs.
-            let mut sum = 0.0;
-            for age in 0..pair_count(avail, m, n) {
-                sum += self.metric.pair(h[avail - 1 - age], h[avail - 1 - age - m]);
-            }
-            self.sums[m_max - m] = sum;
+        let metric = &self.metric;
+        match &mut self.layout {
+            Layout::Values(lanes) => lanes.resync(n, |a, b| metric.pair(a, b)),
+            Layout::Codes(c) => c.lanes.resync(n, mismatch),
         }
     }
 
@@ -360,7 +831,7 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     pub fn pair_sum(&self, m: usize) -> Option<f64> {
         (1..=self.config.m_max)
             .contains(&m)
-            .then(|| self.sums[self.config.m_max - m])
+            .then(|| self.layout.sum(self.config.m_max - m))
     }
 
     /// Snapshot the current spectrum.
@@ -369,7 +840,10 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         let (values, pairs) = (1..=m_max)
             .map(|m| {
                 let p = self.pairs(m);
-                (self.metric.finalize(self.sums[m_max - m], p), p as u32)
+                (
+                    self.metric.finalize(self.layout.sum(m_max - m), p),
+                    p as u32,
+                )
             })
             .unzip();
         Spectrum::from_parts(values, pairs, self.config.frame)
@@ -380,65 +854,73 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     /// For the event metric this is the paper's equation-(2) detection: "if
     /// d(m) = 0, then a periodic pattern with dimension m is detected".
     /// Only the complete delays `1..=min(len - N, M)` qualify; they are the
-    /// last slots of `sums`, scanned from delay 1 upwards in chunks of 16
-    /// whose zero test is one branch-free compare.
+    /// last slots of the sums, scanned from delay 1 upwards in chunks (16
+    /// `f64` sums or 32 counts) whose zero test is one branch-free compare.
     pub fn first_zero(&self) -> Option<usize> {
-        let complete = &self.sums[self.config.m_max - self.complete_delays()..];
-        // complete[j] holds delay complete.len() - j.
-        let (head, chunks) = complete.as_rchunks::<ZERO_SCAN>();
-        for (c, chunk) in chunks.iter().rev().enumerate() {
-            let mask = zero_mask(chunk);
-            if mask != 0 {
-                // chunk[i] holds delay ZERO_SCAN * (c + 1) - i; the highest
-                // set bit is the smallest delay.
-                let i = (u32::BITS - 1 - mask.leading_zeros()) as usize;
-                return Some(ZERO_SCAN * (c + 1) - i);
-            }
+        let from = self.config.m_max - self.complete_delays();
+        match &self.layout {
+            Layout::Values(lanes) => first_zero_sum(&lanes.sums[from..]),
+            Layout::Codes(c) => first_zero_count(&c.lanes.sums[from..]),
         }
-        head.iter()
-            .rposition(|&s| s == 0.0)
-            .map(|j| complete.len() - j)
     }
 
     /// Reconfigure frame size and maximum delay, preserving as much history
-    /// as the new capacity allows, and rebuild the sums. O(N*M).
+    /// as the new capacity allows, and rebuild the sums. O(N*M). The layout
+    /// is chosen afresh for the new configuration.
     pub fn reconfigure(&mut self, config: EngineConfig) -> crate::Result<()> {
         config.validate()?;
+        let history = self.history_vec();
+        let kept = &history[history.len().saturating_sub(config.history_capacity())..];
+        let pushed = self.layout.history_pushed();
         self.config = config;
-        self.history.resize(config.history_capacity());
-        self.sums.resize(config.m_max, 0.0);
+        self.layout = Layout::empty(config, self.symbols);
+        for &s in kept {
+            self.layout.record(s);
+        }
+        self.layout.set_history_pushed(pushed);
         self.resync();
         Ok(())
     }
 
     /// Forget all history and sums (e.g. after a detected phase change).
     pub fn reset(&mut self) {
-        self.history.clear();
-        self.sums.fill(0.0);
+        match &mut self.layout {
+            Layout::Values(lanes) => lanes.clear(),
+            Layout::Codes(c) => {
+                c.lanes.clear();
+                c.book.clear();
+            }
+        }
     }
 
     /// Return to the exact as-constructed state — including the lifetime
     /// push counters, which [`IncrementalEngine::reset`] deliberately
-    /// keeps — while retaining every buffer allocation. An engine after
-    /// `reset_fresh` is observably (and serialization-byte) identical to
-    /// `IncrementalEngine::new` with the same metric and config; the
-    /// stream-table hot-state pool relies on that to recycle detectors
-    /// without reallocating.
+    /// keeps — while retaining every buffer allocation, the codebook's
+    /// included. An engine after `reset_fresh` is observably (and
+    /// serialization-byte) identical to a new one with the same metric and
+    /// config; the stream-table hot-state pool relies on that to recycle
+    /// detectors without reallocating.
     pub(crate) fn reset_fresh(&mut self) {
         self.reset();
-        self.history.set_pushed(0);
+        self.layout.set_history_pushed(0);
         self.pushed = 0;
     }
 
     /// Access the retained history, oldest first (test/diagnostic helper).
     pub fn history_vec(&self) -> Vec<T> {
-        self.history.to_vec()
+        match &self.layout {
+            Layout::Values(lanes) => lanes.history.to_vec(),
+            Layout::Codes(c) => {
+                let values = c.lanes.history.as_slice().iter();
+                values.map(|&code| c.book.value(code)).collect()
+            }
+        }
     }
 
     /// The retained sample pushed `age` steps ago (`0` = newest).
     #[inline]
     pub fn history_ago(&self, age: usize) -> Option<T> {
-        self.history.ago(age)
+        self.layout.ago(age)
     }
 
     /// Borrow the metric driving this engine.
@@ -447,21 +929,42 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         &self.metric
     }
 
+    /// Bytes of heap behind this engine's layout.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.layout {
+            Layout::Values(lanes) => lanes.heap_bytes(),
+            Layout::Codes(c) => {
+                std::mem::size_of::<Codes<T>>() + c.lanes.heap_bytes() + c.book.heap_bytes()
+            }
+        }
+    }
+
+    /// `true` when the engine keeps codes.
+    #[cfg(test)]
+    pub(crate) fn uses_codes(&self) -> bool {
+        matches!(self.layout, Layout::Codes(..))
+    }
+
     /// Serialize the engine state (not the configuration — the caller owns
     /// that) into `w`. `put` encodes one sample of `T`. The sums are
     /// written in ascending delay order, followed by each delay's pair
-    /// count as a varint.
+    /// count as a varint. Both layouts write the same bytes: values, and
+    /// counts as `f64`.
     pub fn snapshot_state(&self, w: &mut SnapshotWriter, put: &impl Fn(&mut SnapshotWriter, T)) {
         w.u64(self.pushed);
-        let hist = self.history.as_slice();
-        w.u64(hist.len() as u64);
-        for &s in hist {
-            put(w, s);
+        w.u64(self.layout.len() as u64);
+        match &self.layout {
+            Layout::Values(lanes) => lanes.history.as_slice().iter().for_each(|&s| put(w, s)),
+            Layout::Codes(c) => {
+                let codes = c.lanes.history.as_slice().iter();
+                codes.for_each(|&code| put(w, c.book.value(code)));
+            }
         }
-        w.u64(self.history.pushed());
-        w.u64(self.sums.len() as u64);
-        for &s in self.sums.iter().rev() {
-            w.f64(s);
+        w.u64(self.layout.history_pushed());
+        w.u64(self.config.m_max as u64);
+        for slot in (0..self.config.m_max).rev() {
+            w.f64(self.layout.sum(slot));
         }
         for m in 1..=self.config.m_max {
             w.u64(self.pairs(m) as u64);
@@ -480,8 +983,23 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         r: &mut SnapshotReader<'a>,
         get: &impl Fn(&mut SnapshotReader<'a>) -> Result<T, SnapshotError>,
     ) -> Result<Self, SnapshotError> {
+        Self::restore_with(metric, config, None, r, get)
+    }
+
+    /// [`IncrementalEngine::restore_state`] for an engine built with
+    /// `symbols` (see [`IncrementalEngine::with_symbols`]), whose codebook
+    /// is rebuilt from the restored values. An identifier engine's sums
+    /// are mismatch counts: one that is not a whole number from 0 to its
+    /// delay's pair count is [`SnapshotError::Malformed`].
+    pub(crate) fn restore_with<'a>(
+        metric: M,
+        config: EngineConfig,
+        symbols: Option<Symbols<T>>,
+        r: &mut SnapshotReader<'a>,
+        get: &impl Fn(&mut SnapshotReader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<Self, SnapshotError> {
         let mut engine =
-            IncrementalEngine::new(metric, config).map_err(|_| SnapshotError::Malformed {
+            Self::with_symbols(metric, config, symbols).map_err(|_| SnapshotError::Malformed {
                 what: "engine configuration fails validation",
             })?;
         let pushed = r.u64()?;
@@ -491,17 +1009,27 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         )?;
         for _ in 0..hist_len {
             let s = get(r)?;
-            engine.history.push(s);
+            engine.layout.record(s);
         }
-        engine.history.set_pushed(r.u64()?);
+        engine.layout.set_history_pushed(r.u64()?);
         let m_max = r.u64()? as usize;
         if m_max != config.m_max {
             return Err(SnapshotError::Malformed {
                 what: "sums length disagrees with configured max delay",
             });
         }
-        for s in engine.sums.iter_mut().rev() {
-            *s = r.f64()?;
+        for m in 1..=m_max {
+            let sum = r.f64()?;
+            let count = match symbols {
+                Some(_) => event_count(sum, engine.pairs(m)).ok_or(SnapshotError::Malformed {
+                    what: "event-metric sum is not a whole count of its delay's pairs",
+                })?,
+                None => 0,
+            };
+            match &mut engine.layout {
+                Layout::Values(lanes) => lanes.sums[m_max - m] = sum,
+                Layout::Codes(c) => c.lanes.sums[m_max - m] = count,
+            }
         }
         for m in 1..=m_max {
             if r.u64()? != engine.pairs(m) as u64 {
@@ -819,5 +1347,281 @@ mod tests {
         assert_eq!(e.first_zero(), None);
         e.push_slice(&data);
         assert_eq!(e.first_zero(), Some(3));
+    }
+}
+
+#[cfg(test)]
+mod code_tests {
+    use super::*;
+    use crate::metric::{direct_distance, EventMetric};
+
+    fn codes(cfg: EngineConfig) -> IncrementalEngine<i64, EventMetric> {
+        IncrementalEngine::with_symbols(EventMetric, cfg, Some(IDENTIFIERS)).unwrap()
+    }
+
+    fn values(cfg: EngineConfig) -> IncrementalEngine<i64, EventMetric> {
+        IncrementalEngine::new(EventMetric, cfg).unwrap()
+    }
+
+    fn snapshot(e: &IncrementalEngine<i64, EventMetric>) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        e.snapshot_state(&mut w, &|w, v| w.i64(v));
+        w.into_bytes()
+    }
+
+    /// Every observable of the code engine equals the values engine's, bit
+    /// for bit, the snapshot bytes included.
+    fn assert_same(
+        c: &IncrementalEngine<i64, EventMetric>,
+        v: &IncrementalEngine<i64, EventMetric>,
+    ) {
+        assert_eq!(c.config(), v.config());
+        assert_eq!(c.pushed(), v.pushed());
+        for m in 1..=c.config().m_max {
+            assert_eq!(
+                c.pair_sum(m).map(f64::to_bits),
+                v.pair_sum(m).map(f64::to_bits),
+                "m={m}"
+            );
+            assert_eq!(c.is_complete(m), v.is_complete(m), "m={m}");
+        }
+        assert_eq!(c.first_zero(), v.first_zero());
+        assert_eq!(c.history_ago(0), v.history_ago(0));
+        assert_eq!(c.history_vec(), v.history_vec());
+        assert_eq!(snapshot(c), snapshot(v));
+    }
+
+    /// Period-`p` addresses in stretches of 500 samples, every other one
+    /// with extremes and one-off values mixed in (a value every 41 samples
+    /// repeats only after leaving retention), so zeros come and go.
+    fn mixed(len: usize, p: usize) -> Vec<i64> {
+        (0..len)
+            .map(|i| match (i / 500 % 2, i % 41) {
+                (1, 7) => i64::MIN,
+                (1, 19) => i64::MAX,
+                (1, 29) => -1 - (i as i64 / 41) % 3 * 10_000,
+                _ => 0x40_0000 + (i % p) as i64 * 0x40,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn codes_only_for_wide_identifier_engines() {
+        assert!(!codes(EngineConfig::square(CODES_FROM - 1)).uses_codes());
+        assert!(codes(EngineConfig::square(CODES_FROM)).uses_codes());
+        assert!(codes(EngineConfig::square(1024)).uses_codes());
+        assert!(!values(EngineConfig::square(1024)).uses_codes());
+        // A history of 65,535 samples still fits the code space; one more
+        // keeps the values layout.
+        let edge = EngineConfig {
+            frame: 32_736,
+            m_max: 32_735,
+            resync_interval: 0,
+        };
+        assert_eq!(edge.history_capacity(), usize::from(VACANT));
+        assert!(codes(edge).uses_codes());
+        assert!(!codes(EngineConfig::square(32_736)).uses_codes());
+    }
+
+    #[test]
+    fn codes_equal_direct_at_every_push() {
+        let cfg = EngineConfig {
+            frame: 150,
+            m_max: 130,
+            resync_interval: 0,
+        };
+        let data = mixed(800, 13);
+        let mut e = codes(cfg);
+        assert!(e.uses_codes());
+        for (t, &s) in data.iter().enumerate() {
+            e.push(s);
+            let seen = &data[..=t];
+            let mut first = None;
+            for m in 1..=cfg.m_max {
+                let direct = direct_distance(&EventMetric, seen, cfg.frame, m);
+                assert_eq!(e.is_complete(m), direct.is_some(), "t={t} m={m}");
+                if let Some(d) = direct {
+                    assert_eq!(e.distance(m), Some(d), "t={t} m={m}");
+                    if d == 0.0 && first.is_none() {
+                        first = Some(m);
+                    }
+                }
+            }
+            assert_eq!(e.first_zero(), first, "t={t}");
+        }
+    }
+
+    #[test]
+    fn codes_match_values_through_every_operation() {
+        let wide = EngineConfig::square(192);
+        let narrow = EngineConfig {
+            frame: 100,
+            m_max: 90,
+            resync_interval: 0,
+        };
+        let data = mixed(3000, 7);
+        let (mut c, mut v) = (codes(wide), values(wide));
+        let mut rest = &data[..];
+        for (step, chunk) in [1usize, 300, 64, 5, 700, 1, 130].iter().cycle().enumerate() {
+            if rest.is_empty() {
+                break;
+            }
+            let (now, later) = rest.split_at((*chunk).min(rest.len()));
+            if step % 2 == 0 {
+                now.iter().for_each(|&s| {
+                    c.push(s);
+                    v.push(s);
+                    assert_eq!(c.first_zero(), v.first_zero());
+                });
+            } else {
+                c.push_slice(now);
+                v.push_slice(now);
+            }
+            rest = later;
+            assert_same(&c, &v);
+            match step {
+                // Shrink across the crossover, then grow back over it.
+                2 => {
+                    c.reconfigure(narrow).unwrap();
+                    v.reconfigure(narrow).unwrap();
+                    assert!(!c.uses_codes());
+                }
+                4 => {
+                    c.reconfigure(wide).unwrap();
+                    v.reconfigure(wide).unwrap();
+                    assert!(c.uses_codes());
+                }
+                5 => {
+                    c.reset();
+                    v.reset();
+                }
+                6 => {
+                    let bytes = snapshot(&c);
+                    let mut r = SnapshotReader::new(&bytes);
+                    c = IncrementalEngine::restore_with(
+                        EventMetric,
+                        wide,
+                        Some(IDENTIFIERS),
+                        &mut r,
+                        &|r| r.i64(),
+                    )
+                    .unwrap();
+                    r.finish().unwrap();
+                    assert!(c.uses_codes());
+                }
+                8 => {
+                    c.reset_fresh();
+                    v = values(wide);
+                }
+                _ => {}
+            }
+            assert_same(&c, &v);
+        }
+    }
+
+    #[test]
+    fn all_distinct_input_recycles_codes_within_the_history() {
+        let cfg = EngineConfig::square(1024);
+        let capacity = cfg.history_capacity();
+        let mut e = codes(cfg);
+        let data: Vec<i64> = (0..10 * capacity as i64).map(|i| i * 0x40).collect();
+        e.push_slice(&data);
+        let Layout::Codes(c) = &e.layout else {
+            panic!("window 1024 keeps codes");
+        };
+        let book = &c.book;
+        assert_eq!(book.live, capacity);
+        assert!(book.keys.capacity() <= capacity && book.refs.capacity() <= capacity);
+        assert_eq!(book.index.len(), 4096);
+        assert_eq!(e.first_zero(), None);
+        assert_eq!(e.pair_sum(1), Some(1024.0));
+        // Returning values find codes again, and the index stays exact.
+        e.push_slice(&data[..3000]);
+        let Layout::Codes(c) = &e.layout else {
+            unreachable!()
+        };
+        for &code in c.lanes.history.as_slice() {
+            assert_eq!(c.book.refs[usize::from(code)] as usize, 1);
+        }
+        assert_eq!(
+            c.book.index.iter().filter(|&&c| c != VACANT).count(),
+            c.book.live
+        );
+    }
+
+    #[test]
+    fn zero_scans_find_the_smallest_zero_delay() {
+        for len in [0usize, 1, 31, 32, 33, 95, 130] {
+            for zeros in [
+                vec![],
+                vec![1],
+                vec![5, 10, 28],
+                vec![31, 32],
+                vec![33, 64],
+                vec![len],
+            ] {
+                // Slot j holds delay len - j.
+                let counts: Vec<u16> = (0..len)
+                    .map(|j| if zeros.contains(&(len - j)) { 0 } else { 3 })
+                    .collect();
+                let sums: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
+                let smallest = zeros
+                    .iter()
+                    .copied()
+                    .filter(|&d| (1..=len).contains(&d))
+                    .min();
+                assert_eq!(first_zero_count(&counts), smallest, "{len} {zeros:?}");
+                assert_eq!(first_zero_sum(&sums), smallest, "{len} {zeros:?}");
+            }
+        }
+    }
+
+    /// Values that stay retained must keep their codes while codes around
+    /// them in the index are released and reused: half the samples loop
+    /// over 50 values, the other half are each seen once.
+    #[test]
+    fn live_codes_stay_found_through_release_churn() {
+        let cfg = EngineConfig::square(256);
+        let (mut c, mut v) = (codes(cfg), values(cfg));
+        for i in 0..6000i64 {
+            let s = if i % 2 == 0 {
+                0x40_0000 + i / 2 % 50 * 0x40
+            } else {
+                0x7000_0000 + i
+            };
+            c.push(s);
+            v.push(s);
+            if i % 50 == 0 {
+                assert_same(&c, &v);
+            }
+        }
+        assert_same(&c, &v);
+    }
+
+    #[test]
+    fn restore_rejects_sums_that_are_not_counts() {
+        let cfg = EngineConfig::square(8);
+        let mut e = codes(cfg);
+        e.push_slice(&[1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 4]);
+        for (sum, ok) in [(0.0, true), (-0.0, false), (0.5, false), (-1.0, false)]
+            .into_iter()
+            .chain([(f64::NAN, false), (f64::INFINITY, false), (9.0, false)])
+        {
+            let mut w = SnapshotWriter::new();
+            e.snapshot_state(&mut w, &|w, v| w.i64(v));
+            let mut bytes = w.into_bytes();
+            // The sums end 8 varint pair counts (one byte each) before the
+            // end; delay 1's is the first of them.
+            let at = bytes.len() - 8 - 8 * 8;
+            bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+            let restored = IncrementalEngine::restore_with(
+                EventMetric,
+                cfg,
+                Some(IDENTIFIERS),
+                &mut SnapshotReader::new(&bytes),
+                &|r| r.i64(),
+            );
+            assert_eq!(restored.is_ok(), ok, "sum {sum}");
+        }
     }
 }

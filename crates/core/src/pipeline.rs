@@ -135,7 +135,8 @@ pub enum BuildError {
     /// inline mode).
     ShardsRequired,
     /// [`DpdBuilder::sweep_every`] paces the service's idle-stream sweeps;
-    /// it has no meaning on a single-stream stack.
+    /// it has no meaning outside the service (any finisher but
+    /// [`DpdBuilder::service_spec`], which needs [`DpdBuilder::shards`]).
     SweepWithoutKeyed,
     /// [`DpdBuilder::memory_budget`] is smaller than the accounted cost of
     /// a single hot stream under the configured detector options; such a
@@ -598,7 +599,8 @@ impl DpdBuilder {
 
     /// Samples of traffic between the service's idle-stream memory sweeps
     /// (default: four eviction watermarks when eviction is on, else never).
-    /// Sweeps reclaim memory early but never change emitted events. A raw
+    /// Sweeps reclaim memory early but never change emitted events. Only
+    /// the service reads it, so it requires [`DpdBuilder::shards`]: a raw
     /// [`StreamTable`] sweeps only when its caller calls
     /// [`StreamTable::sweep`].
     pub fn sweep_every(mut self, samples: u64) -> Self {
@@ -689,7 +691,7 @@ impl DpdBuilder {
                 return Err(BuildError::MagnitudesWithKeyed);
             }
         }
-        if self.sweep_every.is_some() && !self.is_keyed() && self.shards.is_none() {
+        if self.sweep_every.is_some() && self.shards.is_none() {
             return Err(BuildError::SweepWithoutKeyed);
         }
         if self.window == 0 {
@@ -761,7 +763,7 @@ impl DpdBuilder {
 
     /// Assemble the event-stream detector (options already validated).
     fn assemble_event_detector(&self) -> Result<StreamingDpd<i64, EventMetric>, BuildError> {
-        StreamingDpd::new(EventMetric, self.assemble_detector()).map_err(BuildError::Detector)
+        StreamingDpd::events(self.assemble_detector()).map_err(BuildError::Detector)
     }
 
     /// Assemble the detector + forecaster bundle (options already
@@ -1460,6 +1462,16 @@ mod tests {
             (
                 "sweep cadence without a keyed table",
                 b().sweep_every(128).build_detector().err(),
+                E::SweepWithoutKeyed,
+            ),
+            (
+                "sweep cadence on the in-process table",
+                b().evict_after(10).sweep_every(5).build_table().err(),
+                E::SweepWithoutKeyed,
+            ),
+            (
+                "sweep cadence in a table configuration",
+                b().evict_after(10).sweep_every(5).table_config().err(),
                 E::SweepWithoutKeyed,
             ),
             (

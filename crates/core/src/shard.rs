@@ -956,7 +956,7 @@ impl StreamTable {
             return state;
         }
         Box::new(HotState {
-            dpd: StreamingDpd::new(EventMetric, self.config.detector)
+            dpd: StreamingDpd::events(self.config.detector)
                 .expect("table config validated at construction"),
             predictor: self.config.predict_config().map(Predictor::new),
         })
@@ -1575,7 +1575,7 @@ impl StreamTable {
             }
             prev = Some(id);
             let slot = table.adopt_slot(id, r)?;
-            let dpd = StreamingDpd::restore_state(EventMetric, r, &|r| r.i64())?;
+            let dpd = StreamingDpd::restore_events(r)?;
             if dpd.config() != config.detector {
                 return Err(SnapshotError::Malformed {
                     what: "stream detector configuration disagrees with table",
@@ -1754,6 +1754,88 @@ mod tests {
             let got: Vec<_> = split.iter().filter(|e| e.stream().0 == s).collect();
             assert_eq!(got, expect, "stream {s}");
         }
+    }
+
+    /// The price of a stream, which decides what a memory budget keeps
+    /// hot, is pinned: these figures were measured before the engine
+    /// gained its code layout, which must not grow an engine.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn hot_stream_price_is_pinned() {
+        for (window, horizon, hot) in [
+            (16, 0, 2434),
+            (64, 0, 4546),
+            (64, 4, 5282),
+            (1024, 0, 46786),
+        ] {
+            let mut builder = DpdBuilder::new().window(window);
+            if horizon > 0 {
+                builder = builder.forecast(horizon);
+            }
+            let config = builder.table_config().unwrap();
+            assert_eq!(
+                config.hot_stream_bytes(),
+                hot,
+                "window {window}, horizon {horizon}"
+            );
+            assert_eq!(config.cold_stream_bytes(), 82);
+        }
+    }
+
+    /// The hot-stream cost model stays as priced for `i64` history and
+    /// `f64` sums; the 16-bit code layout of a window-1024 detector must
+    /// fit inside it even when every retained value is distinct, its
+    /// codebook's worst case.
+    #[test]
+    fn code_layout_heap_fits_the_hot_stream_cost_model() {
+        let config = DpdBuilder::new().window(1024).table_config().unwrap();
+        let priced = hot_heap_bytes(&config) as usize - std::mem::size_of::<HotState>();
+        let looped: Vec<i64> = (0..20_000).map(|i| 0x40_0000 + i % 97 * 0x40).collect();
+        let distinct: Vec<i64> = (0..20_000).map(|i| 0x40_0000 + i * 0x40).collect();
+        for data in [looped, distinct] {
+            let mut dpd = StreamingDpd::events(config.detector).unwrap();
+            dpd.push_slice(&data);
+            let engine = dpd.engine();
+            assert!(engine.uses_codes());
+            let heap = engine.heap_bytes() + dpd.stats().periods.capacity() * 16;
+            assert!(heap <= priced, "{heap} heap bytes against {priced} priced");
+        }
+    }
+
+    /// A recycled hot state is reset, codebook included, to exactly what
+    /// a new detector is: at a wide window, a stream reborn in place after
+    /// idle eviction, and a new stream that takes a swept state from the
+    /// pool, emit the same events as a fresh detector fed their samples.
+    #[test]
+    fn recycled_wide_detectors_equal_fresh_ones() {
+        let mut table = table_with_eviction(256, 64);
+        let detector = table.config().detector;
+        // All-distinct values, then a loop: a well-used codebook.
+        let first: Vec<i64> = (0..700).chain((0..600).map(|i| i % 9)).collect();
+        let second: Vec<i64> = (0..1500).map(|i| [5, 1_000, -7, 5, 42][i % 5]).collect();
+        let expect = StreamingDpd::events(detector).unwrap().push_slice(&second);
+        assert!(!expect.is_empty());
+        let events_of = |out: &[MultiStreamEvent], id: u64| -> Vec<SegmentEvent> {
+            out.iter()
+                .filter_map(|e| match e {
+                    MultiStreamEvent::Segment { stream, event } if stream.0 == id => Some(*event),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut out = Vec::new();
+        table.ingest(0, StreamId(0), &first, &mut out);
+        table.ingest(1300, StreamId(1), &first[..100], &mut out);
+        // Stream 0 returns idle past the watermark: reborn in place.
+        out.clear();
+        table.ingest(1400, StreamId(0), &second, &mut out);
+        assert_eq!(table.stats().evicted, 1);
+        assert_eq!(events_of(&out, 0), expect);
+        // Both streams swept into the pool; stream 2 takes a pooled state.
+        assert_eq!(table.sweep(3000), 2);
+        out.clear();
+        table.ingest(3000, StreamId(2), &second, &mut out);
+        assert_eq!(events_of(&out, 2), expect);
     }
 
     #[test]

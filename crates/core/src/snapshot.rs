@@ -397,7 +397,7 @@ impl Snapshot for StreamingDpd<i64, EventMetric> {
 impl Restore for StreamingDpd<i64, EventMetric> {
     fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapshotReader::envelope(bytes, TAG_DETECTOR)?;
-        let dpd = StreamingDpd::restore_state(EventMetric, &mut r, &|r| r.i64())?;
+        let dpd = StreamingDpd::restore_events(&mut r)?;
         r.finish()?;
         Ok(dpd)
     }
@@ -414,7 +414,7 @@ impl Snapshot for StreamingDpd<f64, L1Metric> {
 impl Restore for StreamingDpd<f64, L1Metric> {
     fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapshotReader::envelope(bytes, TAG_MAGNITUDE)?;
-        let dpd = StreamingDpd::restore_state(L1Metric, &mut r, &|r| r.f64())?;
+        let dpd = StreamingDpd::restore_state(L1Metric, None, &mut r, &|r| r.f64())?;
         r.finish()?;
         Ok(dpd)
     }
@@ -442,9 +442,7 @@ impl Restore for MultiScaleDpd {
         }
         let mut scales = Vec::with_capacity(n);
         for _ in 0..n {
-            scales.push(StreamingDpd::restore_state(EventMetric, &mut r, &|r| {
-                r.i64()
-            })?);
+            scales.push(StreamingDpd::restore_events(&mut r)?);
         }
         r.finish()?;
         Ok(MultiScaleDpd::from_scales(scales))
@@ -480,7 +478,7 @@ impl Snapshot for ForecastingDpd {
 impl Restore for ForecastingDpd {
     fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapshotReader::envelope(bytes, TAG_FORECASTING)?;
-        let dpd = StreamingDpd::restore_state(EventMetric, &mut r, &|r| r.i64())?;
+        let dpd = StreamingDpd::restore_events(&mut r)?;
         let predictor = Predictor::restore_state(&mut r)?;
         r.finish()?;
         Ok(ForecastingDpd::from_parts(dpd, predictor))
@@ -498,7 +496,7 @@ impl Snapshot for crate::capi::Dpd {
 impl Restore for crate::capi::Dpd {
     fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapshotReader::envelope(bytes, TAG_CAPI)?;
-        let dpd = StreamingDpd::restore_state(EventMetric, &mut r, &|r| r.i64())?;
+        let dpd = StreamingDpd::restore_events(&mut r)?;
         r.finish()?;
         Ok(crate::capi::Dpd::from_detector(dpd))
     }

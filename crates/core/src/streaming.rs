@@ -16,7 +16,7 @@
 //! captures the outer iteration, reproducing the multi-valued detections of
 //! Table 2.
 
-use crate::incremental::{EngineConfig, IncrementalEngine};
+use crate::incremental::{EngineConfig, IncrementalEngine, Symbols, IDENTIFIERS};
 use crate::metric::{EventMetric, Metric};
 use crate::minima::MinimaPolicy;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
@@ -178,7 +178,11 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
     /// Create a detector from a metric and configuration.
     pub fn new(metric: M, config: StreamingConfig) -> crate::Result<Self> {
         let engine = IncrementalEngine::new(metric, config.engine_config())?;
-        Ok(StreamingDpd {
+        Ok(StreamingDpd::from_engine(engine, config))
+    }
+
+    fn from_engine(engine: IncrementalEngine<T, M>, config: StreamingConfig) -> Self {
+        StreamingDpd {
             engine,
             config,
             state: State::Searching {
@@ -186,7 +190,7 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
                 agree: 0,
             },
             stats: StreamStats::default(),
-        })
+        }
     }
 
     /// The configured window size `N`.
@@ -205,6 +209,12 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
             agree: 0,
         };
         self.stats = StreamStats::default();
+    }
+
+    /// The engine behind this detector.
+    #[cfg(test)]
+    pub(crate) fn engine(&self) -> &IncrementalEngine<T, M> {
+        &self.engine
     }
 
     /// Running statistics (Table 2 bookkeeping).
@@ -467,9 +477,11 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
 
     /// Rebuild a detector from serialized state. The embedded configuration
     /// is re-validated through [`StreamingDpd::new`]; the engine sums are
-    /// restored verbatim, never re-derived.
+    /// restored verbatim, never re-derived. `symbols` is set for the
+    /// identifier detector (see [`StreamingDpd::restore_events`]).
     pub(crate) fn restore_state<'a>(
         metric: M,
+        symbols: Option<Symbols<T>>,
         r: &mut SnapshotReader<'a>,
         get: &impl Fn(&mut SnapshotReader<'a>) -> Result<T, SnapshotError>,
     ) -> Result<Self, SnapshotError> {
@@ -478,7 +490,8 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
             what: "detector configuration fails validation",
         })?;
         let metric = probe.engine.metric_ref().clone();
-        let engine = IncrementalEngine::restore_state(metric, config.engine_config(), r, get)?;
+        let engine =
+            IncrementalEngine::restore_with(metric, config.engine_config(), symbols, r, get)?;
         let state = match r.u8()? {
             0 => {
                 let has_candidate = r.bool()?;
@@ -527,6 +540,28 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
             state,
             stats,
         })
+    }
+}
+
+impl StreamingDpd<i64, EventMetric> {
+    /// The equation-(2) detector over `i64` identifiers, as `dpd-core`
+    /// builds it: wide configurations keep the engine's history as 16-bit
+    /// symbol codes (see [`crate::incremental`]), with every observable
+    /// identical to [`StreamingDpd::new`]'s.
+    pub(crate) fn events(config: StreamingConfig) -> crate::Result<Self> {
+        let engine = IncrementalEngine::with_symbols(
+            EventMetric,
+            config.engine_config(),
+            Some(IDENTIFIERS),
+        )?;
+        Ok(StreamingDpd::from_engine(engine, config))
+    }
+
+    /// Restore a detector written by [`Snapshot`](crate::snapshot::Snapshot)
+    /// as [`StreamingDpd::events`] would have built it, codebook rebuilt
+    /// from the restored values.
+    pub(crate) fn restore_events(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        StreamingDpd::restore_state(EventMetric, Some(IDENTIFIERS), r, &|r| r.i64())
     }
 }
 
@@ -588,7 +623,7 @@ impl MultiScaleDpd {
                 return Err(crate::DpdError::InvalidWindow(0));
             }
             let config = StreamingConfig::events_defaults(w);
-            scales.push(StreamingDpd::new(EventMetric, config).expect("validated above"));
+            scales.push(StreamingDpd::events(config).expect("validated above"));
         }
         Ok(MultiScaleDpd { scales })
     }

@@ -163,8 +163,9 @@ impl<T: Copy> RingWindow<T> {
 pub struct MirroredHistory<T> {
     /// `2 * cap` slots once initialized; empty until the first push (there
     /// is no `T: Default`, so the backing store is materialized from the
-    /// first pushed value).
-    buf: Vec<T>,
+    /// first pushed value). A boxed slice, as it never grows in place: one
+    /// word smaller than a `Vec` in every engine.
+    buf: Box<[T]>,
     cap: usize,
     /// Next write slot, in `0..cap`.
     head: usize,
@@ -182,7 +183,7 @@ impl<T: Copy> MirroredHistory<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MirroredHistory capacity must be non-zero");
         MirroredHistory {
-            buf: Vec::new(),
+            buf: Box::default(),
             cap: capacity,
             head: 0,
             len: 0,
@@ -225,7 +226,7 @@ impl<T: Copy> MirroredHistory<T> {
     pub fn push(&mut self, sample: T) {
         if self.buf.is_empty() {
             // Materialize the backing store from the first value pushed.
-            self.buf = vec![sample; 2 * self.cap];
+            self.buf = vec![sample; 2 * self.cap].into_boxed_slice();
         }
         self.buf[self.head] = sample;
         self.buf[self.head + self.cap] = sample;
@@ -311,7 +312,7 @@ impl<T: Copy> MirroredHistory<T> {
         }
         let keep: Vec<T> = self.tail(self.len.min(new_capacity)).to_vec();
         let pushed = self.pushed;
-        self.buf = Vec::new();
+        self.buf = Box::default();
         self.cap = new_capacity;
         self.head = 0;
         self.len = 0;

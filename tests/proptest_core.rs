@@ -3,8 +3,9 @@
 use dpd::core::incremental::{EngineConfig, IncrementalEngine};
 use dpd::core::metric::{direct_distance, EventMetric, L1Metric, Metric};
 use dpd::core::pipeline::DpdBuilder;
-use dpd::core::snapshot::{SnapshotReader, SnapshotWriter};
+use dpd::core::snapshot::{Restore, Snapshot, SnapshotReader, SnapshotWriter};
 use dpd::core::spectrum::Spectrum;
+use dpd::core::streaming::{StreamingConfig, StreamingDpd};
 use dpd::trace::{io, EventTrace, SampledTrace};
 use proptest::prelude::*;
 
@@ -34,6 +35,74 @@ fn assert_engine_is_direct(
         }
     }
     prop_assert_eq!(e.first_zero(), first_zero, "len={}", seen.len());
+}
+
+/// Equation (2) from its definition, kept in O(M) per sample: for every
+/// delay `m`, one past the newest position `t` with `x[t] != x[t-m]` (0 for
+/// none). `d(m) = 0` exactly when that mismatch lies before the frame.
+struct LastMismatch {
+    seen: Vec<i64>,
+    last: Vec<usize>,
+}
+
+impl LastMismatch {
+    fn new(seen: Vec<i64>, m_max: usize) -> Self {
+        let mut oracle = LastMismatch {
+            seen: Vec::new(),
+            last: vec![0; m_max + 1],
+        };
+        for s in seen {
+            oracle.push(s);
+        }
+        oracle
+    }
+
+    fn push(&mut self, s: i64) {
+        let t = self.seen.len();
+        self.seen.push(s);
+        for m in 1..self.last.len().min(t + 1) {
+            if self.seen[t - m] != s {
+                self.last[m] = t + 1;
+            }
+        }
+    }
+
+    /// `d(m)` over frame `n`, `None` until `n + m` samples exist.
+    fn distance(&self, n: usize, m: usize) -> Option<f64> {
+        let len = self.seen.len();
+        (len >= n + m).then(|| if self.last[m] <= len - n { 0.0 } else { 1.0 })
+    }
+}
+
+/// Spectrum values (as bits) and pair counts, for bit-exact comparison.
+fn spectrum_bits(s: &Spectrum) -> (Vec<u64>, Vec<Option<u32>>) {
+    (
+        s.values().iter().map(|v| v.to_bits()).collect(),
+        (1..=s.m_max()).map(|m| s.pairs_at(m)).collect(),
+    )
+}
+
+/// Windows around and far above the width from which `DpdBuilder`'s event
+/// detectors keep 16-bit symbol codes (128 candidate delays) instead of
+/// `i64` values.
+const CODE_WINDOWS: [usize; 6] = [64, 127, 128, 129, 200, 1024];
+
+/// Compare `dpd`'s spectrum with the oracle's definition of equation (2).
+fn assert_spectrum_is_direct(dpd: &StreamingDpd<i64, EventMetric>, oracle: &LastMismatch) {
+    let s = dpd.spectrum();
+    for m in 1..=s.m_max() {
+        let direct = oracle.distance(s.frame(), m);
+        prop_assert_eq!(
+            s.is_complete_at(m),
+            direct.is_some(),
+            "len={}, m={}",
+            oracle.seen.len(),
+            m
+        );
+        if direct.is_some() {
+            prop_assert_eq!(s.at(m), direct, "len={}, m={}", oracle.seen.len(), m);
+        }
+    }
 }
 
 proptest! {
@@ -130,6 +199,89 @@ proptest! {
                 _ => {}
             }
             assert_engine_is_direct(&e, &seen, cfg);
+        }
+    }
+
+    /// The detector `DpdBuilder` builds keeps the equation-(2) engine's
+    /// history as 16-bit symbol codes at wide windows, `StreamingDpd::new`
+    /// as `i64` values. Across windows on both sides of that switch and up
+    /// to 1024, pushed one sample at a time, the two emit the same events
+    /// and bit-identical spectra, and the spectrum is the definition's at
+    /// every push. Along the way: a snapshot/restore, `set_window` across
+    /// the switch in both directions, all-distinct stretches that cycle
+    /// codes through release and reuse, `i64::MIN`/`MAX`, and glitch values
+    /// that leave retention and come back.
+    #[test]
+    fn code_layout_detector_equals_direct(
+        pick in 0usize..6,
+        across in 0usize..6,
+        period in 1usize..40,
+        glitches in proptest::collection::vec(0i64..64, 150..400),
+        distinct in 0usize..5,
+        cuts in proptest::collection::vec(0usize..1000, 3..4),
+    ) {
+        let mut n = CODE_WINDOWS[pick];
+        // A clean loop long enough to warm the window and lock, then the
+        // glitches.
+        let clean = 2 * n + period;
+        let len = clean + glitches.len();
+        let data: Vec<i64> = (0..len)
+            .map(|i| match glitches[i.saturating_sub(clean) % glitches.len()] {
+                _ if i < clean => (i % period) as i64,
+                g @ 0..=2 => 100 + g,
+                3 => i64::MIN,
+                4 => i64::MAX,
+                // `distinct` of every 4 samples never seen before: all of
+                // them at 4.
+                _ if i % 4 < distinct => 1_000_000 + i as i64,
+                _ => (i % period) as i64,
+            })
+            .collect();
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c * len / 1000).collect();
+        cuts.sort_unstable();
+
+        let builder = DpdBuilder::new().window(n);
+        let mut dpd = builder.build_detector().unwrap();
+        let config: StreamingConfig = builder.detector_config().unwrap();
+        let mut reference = StreamingDpd::new(EventMetric, config).unwrap();
+        let mut oracle = LastMismatch::new(Vec::new(), n);
+        let mut start = 0;
+        for (phase, &cut) in cuts.iter().chain([&len]).enumerate() {
+            for &s in &data[start..cut] {
+                prop_assert_eq!(dpd.push(s), reference.push(s));
+                oracle.push(s);
+                assert_spectrum_is_direct(&dpd, &oracle);
+                prop_assert_eq!(spectrum_bits(&dpd.spectrum()), spectrum_bits(&reference.spectrum()));
+            }
+            start = cut;
+            // The direct sums at every phase boundary, and the stats.
+            for m in 1..=n {
+                let direct = direct_distance(&EventMetric, &oracle.seen, n, m);
+                prop_assert_eq!(direct, oracle.distance(n, m), "m={}", m);
+            }
+            prop_assert_eq!(dpd.stats(), reference.stats());
+            prop_assert_eq!(dpd.snapshot(), reference.snapshot());
+            match phase {
+                0 => {
+                    dpd = StreamingDpd::<i64, EventMetric>::restore(&dpd.snapshot()).unwrap();
+                }
+                1 | 2 => {
+                    // Across the switch: wide windows shrink below 128,
+                    // narrow ones grow above it.
+                    let old = n;
+                    n = if n >= 128 { CODE_WINDOWS[across % 2] } else { CODE_WINDOWS[2 + across % 4] };
+                    dpd.set_window(n).unwrap();
+                    reference.set_window(n).unwrap();
+                    // A detector retains its last N + M + 64 samples (the
+                    // frame, the deepest delay, one ingestion block), and
+                    // keeps what fits the new window of those.
+                    let mut seen = std::mem::take(&mut oracle.seen);
+                    seen.drain(..seen.len().saturating_sub((2 * old + 64).min(2 * n + 64)));
+                    oracle = LastMismatch::new(seen, n);
+                    assert_spectrum_is_direct(&dpd, &oracle);
+                }
+                _ => {}
+            }
         }
     }
 
@@ -285,8 +437,8 @@ proptest! {
         prop_assert_eq!(w.pushed(), data.len() as u64);
     }
 
-    /// MirroredHistory::resize (behind `DPDWindowSize`, paper Table 1)
-    /// never loses the most recent samples that fit.
+    /// MirroredHistory::resize never loses the most recent samples that
+    /// fit.
     #[test]
     fn mirrored_history_resize_preserves_newest(
         data in proptest::collection::vec(any::<i64>(), 1..100),

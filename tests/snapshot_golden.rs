@@ -173,7 +173,11 @@ fn from_hex(text: &str) -> Vec<u8> {
 }
 
 fn load() -> Vec<(String, Vec<u8>)> {
-    let text = std::fs::read_to_string(fixture_path()).expect("golden snapshot fixture");
+    read_fixture(&fixture_path())
+}
+
+fn read_fixture(path: &Path) -> Vec<(String, Vec<u8>)> {
+    let text = std::fs::read_to_string(path).expect("golden snapshot fixture");
     text.lines()
         .map(|line| {
             let (name, hex) = line.split_once(' ').expect("`name hex` line");
@@ -277,5 +281,162 @@ fn altered_pair_count_is_malformed() {
                 );
             }
         }
+    }
+}
+
+/// Byte offset of the `f64` sum of delay `m` inside a detector envelope,
+/// walking the same documented layout as [`pair_count_offset`].
+fn sum_offset(bytes: &[u8], m: usize) -> usize {
+    let mut r = SnapshotReader::envelope(bytes, TAG_DETECTOR).unwrap();
+    r.u64().unwrap(); // window
+    let m_max = r.u64().unwrap() as usize;
+    assert!((1..=m_max).contains(&m));
+    r.f64().unwrap(); // relative threshold
+    r.f64().unwrap(); // absolute threshold
+    r.bool().unwrap(); // strict
+    for _ in 0..4 {
+        r.u64().unwrap(); // min_delay, confirm, lose, resync_interval
+    }
+    r.u64().unwrap(); // pushed
+    let history = r.u64().unwrap();
+    for _ in 0..history {
+        r.i64().unwrap();
+    }
+    r.u64().unwrap(); // history push counter
+    assert_eq!(r.u64().unwrap() as usize, m_max);
+    for _ in 1..m {
+        r.f64().unwrap();
+    }
+    bytes.len() - r.remaining()
+}
+
+/// An event-metric sum counts mismatching pairs, so a sum that is
+/// fractional, negative or NaN describes no detector and must not restore.
+#[test]
+fn altered_sum_is_malformed() {
+    if bless() {
+        return;
+    }
+    for (name, bytes) in load() {
+        if !name.starts_with("detector_") {
+            continue;
+        }
+        for m in [1, 5, 12] {
+            let at = sum_offset(&bytes, m);
+            for altered in [0.5, -1.0, f64::NAN] {
+                let mut copy = bytes.clone();
+                copy[at..at + 8].copy_from_slice(&altered.to_le_bytes());
+                assert!(
+                    matches!(
+                        StreamingDpd::<i64, EventMetric>::restore(&copy),
+                        Err(SnapshotError::Malformed { .. })
+                    ),
+                    "{name}: sum of delay {m} altered to {altered} was accepted"
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Wide detectors: `tests/fixtures/golden/snapshots_wide.hex`.
+//
+// The same contract at window 1024, the width Table 3 sizes for hydro2d,
+// where the engine keeps its history as 16-bit symbol codes rather than
+// raw values. The fixture was blessed before that layout existed, so its
+// bytes prove the layout never leaks into the format. Re-bless (only for
+// an intentional format change) with
+// `DPD_BLESS=1 cargo test --test snapshot_golden wide_`.
+
+fn wide_fixture_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden/snapshots_wide.hex")
+}
+
+fn wide_builder() -> DpdBuilder {
+    DpdBuilder::new().window(1024)
+}
+
+/// Position of the single inserted sample that throws the locked detector
+/// back into searching.
+const WIDE_INSERT_AT: usize = 2600;
+
+/// Period-97 address loop, `i64::MIN` at 100 (gone from retention by the
+/// second snapshot) and an inserted `i64::MAX` at [`WIDE_INSERT_AT`].
+fn wide_addresses(len: usize) -> Vec<i64> {
+    let mut out: Vec<i64> = (0..len)
+        .map(|i| 0x40_0000 + (i % 97) as i64 * 0x40)
+        .collect();
+    out[100] = i64::MIN;
+    out.insert(WIDE_INSERT_AT, i64::MAX);
+    out.truncate(len);
+    out
+}
+
+/// Snapshots mid-warmup (1500 of the 2048 warmup samples) and while
+/// searching 200 samples after the insertion.
+fn generate_wide() -> Vec<(&'static str, Vec<u8>)> {
+    let data = wide_addresses(WIDE_INSERT_AT + 200);
+    let mut dpd = wide_builder().build_detector().unwrap();
+    for &s in &data[..1500] {
+        dpd.push(s);
+    }
+    let warmup = dpd.snapshot();
+    for &s in &data[1500..] {
+        dpd.push(s);
+    }
+    assert_eq!(dpd.stats().detected_periods(), vec![97]);
+    assert_eq!(
+        dpd.locked_period(),
+        None,
+        "the insertion must break the lock"
+    );
+    vec![
+        ("wide_detector_warmup", warmup),
+        ("wide_detector_searching", dpd.snapshot()),
+    ]
+}
+
+#[test]
+fn wide_detectors_write_the_golden_bytes() {
+    let fresh = generate_wide();
+    if bless() {
+        let text: String = fresh
+            .iter()
+            .map(|(name, bytes)| format!("{name} {}\n", to_hex(bytes)))
+            .collect();
+        std::fs::write(wide_fixture_path(), text).unwrap();
+        return;
+    }
+    let golden = read_fixture(&wide_fixture_path());
+    assert_eq!(golden.len(), fresh.len());
+    for ((name, bytes), (fresh_name, fresh_bytes)) in golden.iter().zip(&fresh) {
+        assert_eq!(name, fresh_name);
+        assert!(bytes == fresh_bytes, "{name}: snapshot bytes changed");
+    }
+}
+
+#[test]
+fn wide_golden_snapshots_restore_and_continue_like_the_original() {
+    if bless() {
+        return;
+    }
+    let data = wide_addresses(WIDE_INSERT_AT + 1400);
+    for ((name, bytes), pushed) in read_fixture(&wide_fixture_path())
+        .into_iter()
+        .zip([1500, WIDE_INSERT_AT + 200])
+    {
+        let mut restored = wide_builder().restore_detector(&bytes).unwrap();
+        assert!(restored.snapshot() == bytes, "{name}: re-snapshot differs");
+        // Continue both the restored detector and a never-serialized one
+        // through the lock, the insertion and the re-lock.
+        let mut original = wide_builder().build_detector().unwrap();
+        for &s in &data[..pushed] {
+            original.push(s);
+        }
+        for &s in &data[pushed..] {
+            assert_eq!(restored.push(s), original.push(s), "{name}");
+        }
+        assert_eq!(restored.locked_period(), Some(97), "{name}");
+        assert!(restored.snapshot() == original.snapshot(), "{name}");
     }
 }
