@@ -1,12 +1,11 @@
-//! Detector-family comparison: DPD (eq 1/2) vs autocorrelation vs
-//! periodogram on the same frames — the quantitative backing for the
-//! paper's design choice of a subtract/abs distance over classical
-//! estimators in a run-time tool.
+//! Detector-family comparison: DPD (eq 1/2) vs autocorrelation on the
+//! same frames — the quantitative backing for the paper's design choice
+//! of a subtract/abs distance over classical estimators in a run-time
+//! tool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpd_core::baseline::AutocorrDetector;
 use dpd_core::detector::FrameDetector;
-use dpd_core::periodogram::PeriodogramDetector;
 use std::hint::black_box;
 
 fn burst_trace(period: usize, len: usize) -> Vec<f64> {
@@ -30,10 +29,6 @@ fn bench_frame_analysis(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("autocorr", n), &n, |b, &n| {
             let det = AutocorrDetector::new(n);
-            b.iter(|| det.analyze(black_box(&data)).unwrap().period)
-        });
-        g.bench_with_input(BenchmarkId::new("periodogram", n), &n, |b, &n| {
-            let det = PeriodogramDetector::new(n);
             b.iter(|| det.analyze(black_box(&data)).unwrap().period)
         });
     }

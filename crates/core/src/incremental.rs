@@ -84,14 +84,6 @@ use std::ops::{AddAssign, SubAssign};
 /// stays cache-resident for the window sizes the paper uses (`N <= 1024`).
 const STEADY_BLOCK: usize = 64;
 
-/// Delays per chunk of the [`IncrementalEngine::first_zero`] scan over
-/// `f64` sums.
-const ZERO_SCAN: usize = 16;
-
-/// Delays per chunk of the zero scan over 16-bit counts: 64 bytes, as
-/// [`ZERO_SCAN`] sums are.
-const COUNT_SCAN: usize = 32;
-
 /// Fewest candidate delays `M` at which an identifier engine keeps codes.
 /// Per sample the codebook costs a lookup and the kernel saves 18 of 24
 /// bytes per delay, which pays only over enough delays. Paired
@@ -175,48 +167,25 @@ fn event_count(sum: f64, pairs: usize) -> Option<u16> {
     (sum.is_sign_positive() && sum.fract() == 0.0 && sum <= pairs as f64).then_some(sum as u16)
 }
 
-/// Bit `i` set when `chunk[i] == 0.0`: one vector compare per chunk.
-#[inline]
-fn zero_mask(chunk: &[f64; ZERO_SCAN]) -> u32 {
-    chunk
-        .iter()
-        .enumerate()
-        .fold(0, |mask, (i, &s)| mask | (u32::from(s == 0.0) << i))
-}
-
 /// Smallest delay whose sum is zero, over `complete`, the sums of the
 /// complete delays in descending order (`complete[j]` holds delay
-/// `complete.len() - j`): scanned from delay 1 upwards in chunks of 16
-/// whose zero test is one branch-free compare.
-fn first_zero_sum(complete: &[f64]) -> Option<usize> {
-    let (head, chunks) = complete.as_rchunks::<ZERO_SCAN>();
+/// `complete.len() - j`), scanned from delay 1 upwards in chunks of `W`.
+/// Each chunk's test is an OR of its compares against `S::default()`, a
+/// vector reduction (`-0.0` compares equal, so it counts as zero); only
+/// the chunk that holds a zero is searched for its position.
+fn first_zero_count<const W: usize, S: Copy + Default + PartialEq>(
+    complete: &[S],
+) -> Option<usize> {
+    let zero = S::default();
+    let (head, chunks) = complete.as_rchunks::<W>();
     for (c, chunk) in chunks.iter().rev().enumerate() {
-        let mask = zero_mask(chunk);
-        if mask != 0 {
-            // chunk[i] holds delay ZERO_SCAN * (c + 1) - i; the highest
-            // set bit is the smallest delay.
-            let i = (u32::BITS - 1 - mask.leading_zeros()) as usize;
-            return Some(ZERO_SCAN * (c + 1) - i);
+        if chunk.iter().fold(false, |found, &s| found | (s == zero)) {
+            let i = chunk.iter().rposition(|&s| s == zero).expect("a zero sum");
+            return Some(W * (c + 1) - i);
         }
     }
     head.iter()
-        .rposition(|&s| s == 0.0)
-        .map(|j| complete.len() - j)
-}
-
-/// [`first_zero_sum`] over mismatch counts, 32 per chunk. Each chunk's
-/// test is an OR of its compares, a vector reduction; only the chunk that
-/// holds a zero is searched for its position.
-fn first_zero_count(complete: &[u16]) -> Option<usize> {
-    let (head, chunks) = complete.as_rchunks::<COUNT_SCAN>();
-    for (c, chunk) in chunks.iter().rev().enumerate() {
-        if chunk.iter().fold(false, |zero, &n| zero | (n == 0)) {
-            let i = chunk.iter().rposition(|&n| n == 0).expect("a zero count");
-            return Some(COUNT_SCAN * (c + 1) - i);
-        }
-    }
-    head.iter()
-        .rposition(|&n| n == 0)
+        .rposition(|&s| s == zero)
         .map(|j| complete.len() - j)
 }
 
@@ -854,13 +823,14 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     /// For the event metric this is the paper's equation-(2) detection: "if
     /// d(m) = 0, then a periodic pattern with dimension m is detected".
     /// Only the complete delays `1..=min(len - N, M)` qualify; they are the
-    /// last slots of the sums, scanned from delay 1 upwards in chunks (16
-    /// `f64` sums or 32 counts) whose zero test is one branch-free compare.
+    /// last slots of the sums, scanned from delay 1 upwards in 64-byte
+    /// chunks (16 `f64` sums or 32 counts) whose zero test is one
+    /// branch-free reduction.
     pub fn first_zero(&self) -> Option<usize> {
         let from = self.config.m_max - self.complete_delays();
         match &self.layout {
-            Layout::Values(lanes) => first_zero_sum(&lanes.sums[from..]),
-            Layout::Codes(c) => first_zero_count(&c.lanes.sums[from..]),
+            Layout::Values(lanes) => first_zero_count::<16, _>(&lanes.sums[from..]),
+            Layout::Codes(c) => first_zero_count::<32, _>(&c.lanes.sums[from..]),
         }
     }
 
@@ -1565,13 +1535,31 @@ mod code_tests {
                     .map(|j| if zeros.contains(&(len - j)) { 0 } else { 3 })
                     .collect();
                 let sums: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
+                // `-0.0` counts as a zero sum too.
+                let signed: Vec<f64> = counts
+                    .iter()
+                    .map(|&c| if c == 0 { -0.0 } else { f64::from(c) })
+                    .collect();
                 let smallest = zeros
                     .iter()
                     .copied()
                     .filter(|&d| (1..=len).contains(&d))
                     .min();
-                assert_eq!(first_zero_count(&counts), smallest, "{len} {zeros:?}");
-                assert_eq!(first_zero_sum(&sums), smallest, "{len} {zeros:?}");
+                assert_eq!(
+                    first_zero_count::<32, _>(&counts),
+                    smallest,
+                    "{len} {zeros:?}"
+                );
+                assert_eq!(
+                    first_zero_count::<16, _>(&sums),
+                    smallest,
+                    "{len} {zeros:?}"
+                );
+                assert_eq!(
+                    first_zero_count::<16, _>(&signed),
+                    smallest,
+                    "{len} {zeros:?}"
+                );
             }
         }
     }

@@ -78,7 +78,6 @@ pub mod detector;
 pub mod incremental;
 pub mod metric;
 pub mod minima;
-pub mod periodogram;
 pub mod pipeline;
 pub mod predict;
 pub mod query;

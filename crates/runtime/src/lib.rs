@@ -7,9 +7,6 @@
 //! * [`pool::ThreadPool`] + [`loops`] — a real work-sharing thread pool with
 //!   `parallel_for` (static / dynamic / guided scheduling), exercising the
 //!   same code paths under actual OS threads;
-//! * [`barrier::SenseBarrier`] — the sense-reversing barrier used at the end
-//!   of parallel regions;
-//! * [`region`] — parallel-region open/close bookkeeping with nesting;
 //! * [`cpustat`] — instantaneous active-CPU accounting and a fixed-rate
 //!   sampler, producing the kind of trace shown in the paper's Figure 3;
 //! * [`vclock`] + [`machine`] — a discrete-event *virtual-time*
@@ -32,17 +29,16 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod barrier;
 pub mod cpustat;
 pub mod loops;
 pub mod machine;
 pub mod msg;
 pub mod net;
 pub mod pool;
-pub mod region;
 pub mod sampler;
 pub mod sched;
 pub mod service;
+mod sync;
 pub mod vclock;
 pub mod workload;
 

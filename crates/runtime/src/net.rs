@@ -36,22 +36,23 @@
 //! Threading: one accept loop plus one worker thread per connection, each
 //! on a small (256 KiB) stack — a thousand mostly-idle connections on the
 //! one-CPU reference host cost virtual address space, not time. All
-//! detector state lives behind one `parking_lot` mutex; per-connection
-//! decode (varints, CRC) happens outside it, only the final
-//! `ingest` of each decoded batch happens inside.
+//! detector state lives behind one `std::sync::Mutex`, taken through the
+//! crate's poison-recovering `lock` helper; per-connection decode
+//! (varints, CRC) happens outside it, only the final `ingest` of each
+//! decoded batch happens inside.
 
 use crate::service::{CheckpointError, MultiStreamDpd, ServiceObs, ServiceSnapshot};
+use crate::sync::lock;
 use dpd_core::pipeline::{BuildError, DpdBuilder};
 use dpd_core::shard::{MultiStreamEvent, StreamId};
 use dpd_obs::{Counter, Gauge, Histogram, Registry};
 use dpd_trace::dtb::{self, Block, DtbDecoder, DtbError};
 use dpd_trace::pile::EpochMarker;
-use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -367,7 +368,7 @@ impl Shared {
                 core.events.extend(events);
                 core.since_ckpt = 0;
                 self.ctr.checkpoints.inc();
-                for conn in self.conns.lock().iter() {
+                for conn in lock(&self.conns).iter() {
                     conn.durable
                         .store(conn.decoded.load(Ordering::Acquire), Ordering::Release);
                 }
@@ -433,7 +434,7 @@ fn drain_decoder(
     if new_samples > 0 {
         let records: Vec<(StreamId, &[i64])> =
             batch.iter().map(|(s, v)| (*s, v.as_slice())).collect();
-        let mut core = shared.core.lock();
+        let mut core = lock(&shared.core);
         if let Some(svc) = core.svc.as_mut() {
             svc.ingest(&records);
         }
@@ -501,7 +502,7 @@ fn serve_conn(sock: &mut TcpStream, shared: &Shared, state: &ConnState) -> Close
                         // durability point: checkpoint so the final
                         // acknowledgement covers everything sent.
                         if shared.cfg.durable.is_some() {
-                            let mut core = shared.core.lock();
+                            let mut core = lock(&shared.core);
                             shared.checkpoint_locked(&mut core);
                         }
                         let target = ack_target(shared, state);
@@ -543,7 +544,7 @@ struct ConnGuard {
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        let mut conns = self.shared.conns.lock();
+        let mut conns = lock(&self.shared.conns);
         conns.retain(|c| !Arc::ptr_eq(c, &self.state));
         drop(conns);
         self.shared.ctr.open.sub(1);
@@ -596,7 +597,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         shared.ctr.open.add(1);
         let state = Arc::new(ConnState::default());
-        shared.conns.lock().push(state.clone());
+        lock(&shared.conns).push(state.clone());
         let sh = shared.clone();
         let st = state.clone();
         let spawned = thread::Builder::new()
@@ -605,7 +606,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             .spawn(move || conn_worker(sock, sh, st));
         if spawned.is_err() {
             // Out of threads: shed exactly like a capacity overflow.
-            let mut conns = shared.conns.lock();
+            let mut conns = lock(&shared.conns);
             conns.retain(|c| !Arc::ptr_eq(c, &state));
             drop(conns);
             shared.ctr.open.sub(1);
@@ -743,7 +744,7 @@ impl DpdServer {
         while self.shared.ctr.open.get() > 0 {
             thread::sleep(Duration::from_millis(2));
         }
-        let mut core = self.shared.core.lock();
+        let mut core = lock(&self.shared.core);
         if self.shared.cfg.durable.is_some() && core.since_ckpt > 0 {
             self.shared.checkpoint_locked(&mut core);
         }

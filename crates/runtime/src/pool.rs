@@ -1,6 +1,6 @@
 //! A work-sharing thread pool.
 //!
-//! Persistent worker threads consume jobs from a shared channel — the
+//! Persistent worker threads consume jobs from one shared FIFO — the
 //! substrate on which application-level tasks run. Parallel *loops* (the
 //! OpenMP-style construct the paper's applications are built from) use the
 //! scoped implementation in [`crate::loops`], which can borrow from the
@@ -8,15 +8,15 @@
 //! the live CPU-usage counter (paper Fig. 3) up to date.
 
 use crate::cpustat::CpuUsage;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{lock, Fifo};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Shared {
+    jobs: Fifo<Job>,
     usage: Arc<CpuUsage>,
     pending: AtomicUsize,
     /// Threads currently blocked in [`ThreadPool::wait_idle`]. Lets the
@@ -29,7 +29,6 @@ struct Shared {
 
 /// A fixed-size pool of worker threads executing submitted jobs.
 pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
@@ -41,8 +40,8 @@ impl ThreadPool {
     /// Panics when `threads == 0`.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "thread pool needs at least one worker");
-        let (sender, receiver): (Sender<Job>, Receiver<Job>) = unbounded();
         let shared = Arc::new(Shared {
+            jobs: Fifo::new(threads),
             usage: CpuUsage::new(),
             pending: AtomicUsize::new(0),
             waiters: AtomicUsize::new(0),
@@ -51,13 +50,12 @@ impl ThreadPool {
         });
         let mut workers = Vec::with_capacity(threads);
         for i in 0..threads {
-            let rx = receiver.clone();
             let sh = Arc::clone(&shared);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("par-runtime-worker-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        sh.jobs.consume(|job| {
                             sh.usage.enter();
                             job();
                             sh.usage.leave();
@@ -69,19 +67,15 @@ impl ThreadPool {
                             if sh.pending.fetch_sub(1, Ordering::SeqCst) == 1
                                 && sh.waiters.load(Ordering::SeqCst) > 0
                             {
-                                let _g = sh.idle_lock.lock();
+                                let _g = lock(&sh.idle_lock);
                                 sh.idle_cv.notify_all();
                             }
-                        }
+                        })
                     })
                     .expect("failed to spawn pool worker"),
             );
         }
-        ThreadPool {
-            sender: Some(sender),
-            workers,
-            shared,
-        }
+        ThreadPool { workers, shared }
     }
 
     /// Number of worker threads.
@@ -97,11 +91,9 @@ impl ThreadPool {
     /// Submit a job for execution.
     pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        self.sender
-            .as_ref()
-            .expect("pool already shut down")
-            .send(Box::new(job))
-            .expect("pool workers exited early");
+        if self.shared.jobs.push(Box::new(job)).is_err() {
+            panic!("pool workers exited early");
+        }
     }
 
     /// Number of jobs submitted but not yet finished.
@@ -124,10 +116,13 @@ impl ThreadPool {
         // its decrement, so (SeqCst) either it sees the registration and
         // notifies, or the re-check below sees pending == 0.
         self.shared.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self.shared.idle_lock.lock();
-        while self.shared.pending.load(Ordering::SeqCst) != 0 {
-            self.shared.idle_cv.wait(&mut guard);
-        }
+        let guard = self
+            .shared
+            .idle_cv
+            .wait_while(lock(&self.shared.idle_lock), |_| {
+                self.shared.pending.load(Ordering::SeqCst) != 0
+            })
+            .unwrap_or_else(PoisonError::into_inner);
         drop(guard);
         self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
     }
@@ -135,8 +130,8 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Closing the channel stops the workers after draining.
-        self.sender.take();
+        // Closing the queue stops the workers after draining.
+        self.shared.jobs.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -239,6 +234,24 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_panics() {
         let _ = ThreadPool::new(0);
+    }
+
+    /// A running job must not hold the queue: here the first job waits
+    /// for a signal only the second one, run by the other worker, sends.
+    #[test]
+    fn a_running_job_leaves_the_queue_to_the_other_worker() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let pool = ThreadPool::new(2);
+        let (signal, signalled) = mpsc::channel();
+        let (done, outcome) = mpsc::channel();
+        pool.execute(move || {
+            let got = signalled.recv_timeout(Duration::from_secs(10)).is_ok();
+            done.send(got).unwrap();
+        });
+        pool.execute(move || signal.send(()).unwrap());
+        assert!(outcome.recv().unwrap(), "the second job never ran");
+        pool.wait_idle();
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! hash [`shard_of`]. Each shard drains its queue in FIFO order and emits
 //! `(StreamId, SegmentEvent)` observations into an aggregated event sink.
 //!
+//! * **Queues.** Each shard's commands travel through one crate-private
+//!   closeable FIFO (a `Mutex<VecDeque>` plus a `Condvar`; see
+//!   `sync.rs` for why it is not `mpsc`). A worker that dies drops the
+//!   commands it never ran, so a barrier behind them fails instead of
+//!   blocking, and the next command routed to it panics.
 //! * **Sink.** Workers publish through `std::sync::mpsc`, whose send path
-//!   is the lock-free linked-list queue std adopted from crossbeam-channel
-//!   (Rust ≥ 1.67): producers never take a lock, and the service side
-//!   drains with the non-blocking [`MultiStreamDpd::drain`].
+//!   is a lock-free linked-list queue (Rust ≥ 1.67): producers never take
+//!   a lock, and the service side drains with the non-blocking
+//!   [`MultiStreamDpd::drain`].
 //! * **Rollups.** Every field of each shard's [`TableStats`] (streams,
 //!   samples, events, tier and forecast counters, ...) is published into a
 //!   `dpd_obs` metrics [`Registry`] and read back without synchronizing
@@ -50,7 +55,7 @@
 //!   that file and continues emitting exactly the event suffix an
 //!   uninterrupted run would have emitted.
 
-use crossbeam::channel::{unbounded, Sender};
+use crate::sync::Fifo;
 use dpd_core::pipeline::{BuildError, DpdBuilder, DpdEvent, EventSink, ServiceSpec};
 use dpd_core::query::{QueryDelta, QuerySpec};
 use dpd_core::shard::{shard_of, MultiStreamEvent, StreamId, StreamTable, TableStats};
@@ -61,7 +66,7 @@ use dpd_obs::{Counter, Gauge, Histogram, Registry, SelfTracer};
 use dpd_trace::pile::{recover, EpochMarker, PileError, PileFrame, PileWriter};
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -519,7 +524,7 @@ enum Shards {
     // would otherwise dominate the enum (clippy::large_enum_variant).
     Inline(Box<ShardCore>),
     Workers {
-        txs: Vec<Sender<Cmd>>,
+        queues: Vec<Arc<Fifo<Cmd>>>,
         workers: Vec<JoinHandle<()>>,
         sink: mpsc::Receiver<ShardPublication>,
     },
@@ -640,9 +645,9 @@ impl MultiStreamDpd {
         let shards = if sink.is_none() {
             Shards::Inline(Box::new(cores.pop().expect("one inline core")))
         } else {
-            let (txs, workers) = cores.into_iter().map(spawn_worker).unzip();
+            let (queues, workers) = cores.into_iter().map(spawn_worker).unzip();
             Shards::Workers {
-                txs,
+                queues,
                 workers,
                 sink: sink_rx,
             }
@@ -680,11 +685,13 @@ impl MultiStreamDpd {
     fn send(&mut self, shard: usize, cmd: Cmd) {
         match &mut self.shards {
             Shards::Inline(core) => core.apply(cmd),
-            Shards::Workers { txs, .. } => {
+            Shards::Workers { queues, .. } => {
                 if cmd.queued() {
                     self.metrics[shard].queue_depth.add(1);
                 }
-                txs[shard].send(cmd).expect("shard worker exited early");
+                if queues[shard].push(cmd).is_err() {
+                    panic!("shard worker exited early");
+                }
             }
         }
     }
@@ -1013,8 +1020,13 @@ fn write_checkpoint_file(
 
 impl Drop for MultiStreamDpd {
     fn drop(&mut self) {
-        if let Shards::Workers { txs, workers, .. } = &mut self.shards {
-            txs.clear(); // closing the queues stops the workers
+        if let Shards::Workers {
+            queues, workers, ..
+        } = &mut self.shards
+        {
+            for queue in queues.iter() {
+                queue.close(); // the worker drains it, then stops
+            }
             for w in workers.drain(..) {
                 let _ = w.join();
             }
@@ -1023,12 +1035,13 @@ impl Drop for MultiStreamDpd {
 }
 
 /// Spawn the worker thread that drives `core` from its command queue.
-fn spawn_worker(mut core: ShardCore) -> (Sender<Cmd>, JoinHandle<()>) {
-    let (tx, rx) = unbounded::<Cmd>();
+fn spawn_worker(mut core: ShardCore) -> (Arc<Fifo<Cmd>>, JoinHandle<()>) {
+    let queue = Arc::new(Fifo::<Cmd>::new(1));
+    let commands = Arc::clone(&queue);
     let worker = std::thread::Builder::new()
         .name(format!("dpd-shard-{}", core.shard))
         .spawn(move || {
-            while let Ok(cmd) = rx.recv() {
+            commands.consume(|cmd| {
                 let (queued, batch) = (cmd.queued(), matches!(cmd, Cmd::Batches(_)));
                 core.apply(cmd);
                 if queued {
@@ -1037,10 +1050,10 @@ fn spawn_worker(mut core: ShardCore) -> (Sender<Cmd>, JoinHandle<()>) {
                 if batch {
                     core.metrics.batches.inc();
                 }
-            }
+            })
         })
         .expect("failed to spawn shard worker");
-    (tx, worker)
+    (queue, worker)
 }
 
 #[cfg(test)]
@@ -1674,6 +1687,57 @@ mod tests {
                 what: "standing queries"
             })
         ));
+    }
+
+    /// A one-shard service whose worker panics at its first stream: the
+    /// table's window-0 detector passes construction and fails the first
+    /// time a stream needs one.
+    fn svc_with_failing_worker() -> MultiStreamDpd {
+        let spec = DpdBuilder::new()
+            .window(8)
+            .shards(1)
+            .service_spec()
+            .unwrap();
+        let mut broken = spec.table;
+        broken.detector.window = 0;
+        let tables = vec![(StreamTable::new(broken), 0)];
+        MultiStreamDpd::start(spec, tables, 0, 0, ServiceObs::default())
+    }
+
+    #[test]
+    #[should_panic(expected = "shard worker exited early")]
+    fn routing_to_a_dead_worker_panics() {
+        let mut svc = svc_with_failing_worker();
+        svc.push(StreamId(1), &[1, 2, 3]);
+        if let Shards::Workers { workers, .. } = &mut svc.shards {
+            let worker = workers.pop().unwrap();
+            assert!(
+                worker.join().is_err(),
+                "the broken table left its worker alive"
+            );
+        }
+        svc.push(StreamId(1), &[4]);
+    }
+
+    /// A flush queued behind the command that kills the worker fails
+    /// instead of waiting forever for an ack nobody will send (when the
+    /// worker is already gone, routing the flush fails instead).
+    #[test]
+    fn a_barrier_behind_a_dying_worker_fails() {
+        let mut svc = svc_with_failing_worker();
+        let (done, outcome) = mpsc::channel();
+        let flusher = std::thread::spawn(move || {
+            let flushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                svc.push(StreamId(1), &[1, 2, 3]);
+                svc.flush();
+            }));
+            let _ = done.send(flushed.is_ok());
+        });
+        let acked = outcome
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the barrier blocked");
+        assert!(!acked, "a dead worker acked a barrier");
+        flusher.join().unwrap();
     }
 
     /// Every `CheckpointError` variant renders a lowercase, period-free

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod counters;
 pub mod dtb;
 pub mod event;
 pub mod gen;

@@ -25,8 +25,8 @@ mod exists {
     }
     mod core_modules {
         pub use dpd::core::{
-            autotune, baseline, capi, detector, incremental, metric, minima, periodogram, pipeline,
-            predict, query, segmentation, shard, snapshot, spectrum, streaming, window,
+            autotune, baseline, capi, detector, incremental, metric, minima, pipeline, predict,
+            query, segmentation, shard, snapshot, spectrum, streaming, window,
         };
     }
     mod core_top_level {
@@ -153,7 +153,6 @@ const SURFACE: &[&str] = &[
     "dpd::core::incremental",
     "dpd::core::metric",
     "dpd::core::minima",
-    "dpd::core::periodogram",
     "dpd::core::pipeline",
     "dpd::core::pipeline::BuildError",
     "dpd::core::pipeline::DEFAULT_SCALES",

@@ -1,6 +1,5 @@
 //! Property-based tests for the substrate and extension modules.
 
-use dpd::core::periodogram::PeriodogramDetector;
 use dpd::runtime::machine::{LoopSpec, Machine, MachineConfig};
 use dpd::runtime::msg::{NetConfig, ProcessGroup};
 use dpd::runtime::sched::{AllocationPolicy, Equipartition, PerformanceDriven, SpeedupCurve};
@@ -99,22 +98,6 @@ proptest! {
         if !changes.is_empty() {
             prop_assert_eq!(changes[0].0, 0, "first sample always emits");
         }
-    }
-
-    /// Periodogram: for a pure sine with a bin-exact period, the estimate
-    /// is exact.
-    #[test]
-    fn periodogram_exact_on_commensurate_sines(
-        k in 1usize..16,
-    ) {
-        let n = 256usize;
-        let period = n / k.next_power_of_two(); // divides n
-        let data: Vec<f64> = (0..2 * n)
-            .map(|i| (i as f64 * std::f64::consts::TAU / period as f64).sin())
-            .collect();
-        let det = PeriodogramDetector::new(n);
-        let r = det.analyze(&data).unwrap();
-        prop_assert_eq!(r.period, Some(period));
     }
 
     /// Workload simulation conservation: every job finishes exactly once
