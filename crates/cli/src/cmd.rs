@@ -455,13 +455,37 @@ fn segment(flags: &Flags) -> Result<String, String> {
     Ok(out)
 }
 
-/// Load every event stream of a directory of trace files.
-///
-/// One stream per text file, in name order so stream ids are stable; a
-/// DTB container expands into its event streams in declaration order.
-/// Sampled streams are not replayable by the event-ingesting commands,
-/// so they are counted and reported, not silently dropped. Returns the
-/// traces plus the skipped sampled-stream count.
+/// Every event stream of one trace file, in stable order: declaration
+/// order for a DTB container, the single stream of a text trace
+/// otherwise. Sampled streams are not replayable by the event-ingesting
+/// commands, so they are counted and reported, not silently dropped.
+/// Returns the streams plus the skipped sampled-stream count.
+fn read_event_streams(path: &std::path::Path) -> Result<(Vec<EventTrace>, usize), String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    match io::detect_format(&bytes) {
+        Some(TraceFormat::Dtb) => {
+            let (events, sampled) =
+                dtb::read_all(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
+            if events.is_empty() {
+                return Err(format!(
+                    "{}: container holds no event stream",
+                    path.display()
+                ));
+            }
+            Ok((events, sampled.len()))
+        }
+        _ => {
+            let trace =
+                io::read_events(&bytes[..]).map_err(|e| format!("{}: {e}", path.display()))?;
+            Ok((vec![trace], 0))
+        }
+    }
+}
+
+/// Load every event stream of a directory of trace files: the files in
+/// name order, so stream ids are stable, each expanded by
+/// [`read_event_streams`]. Returns the traces plus the skipped
+/// sampled-stream count.
 fn load_dir_traces(dir: &str) -> Result<(Vec<EventTrace>, usize), String> {
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("read dir {dir}: {e}"))?
@@ -475,25 +499,49 @@ fn load_dir_traces(dir: &str) -> Result<(Vec<EventTrace>, usize), String> {
     let mut traces = Vec::with_capacity(paths.len());
     let mut skipped_sampled = 0usize;
     for p in &paths {
-        let bytes = std::fs::read(p).map_err(|e| format!("read {}: {e}", p.display()))?;
-        match io::detect_format(&bytes) {
-            Some(TraceFormat::Dtb) => {
-                let (events, sampled) =
-                    dtb::read_all(&bytes).map_err(|e| format!("{}: {e}", p.display()))?;
-                if events.is_empty() {
-                    return Err(format!("{}: container holds no event stream", p.display()));
-                }
-                skipped_sampled += sampled.len();
-                traces.extend(events);
-            }
-            _ => {
-                let trace =
-                    io::read_events(&bytes[..]).map_err(|e| format!("{}: {e}", p.display()))?;
-                traces.push(trace);
-            }
-        }
+        let (streams, skipped) = read_event_streams(p)?;
+        traces.extend(streams);
+        skipped_sampled += skipped;
     }
     Ok((traces, skipped_sampled))
+}
+
+/// Round-robin wave `wave`: the next `chunk` samples of every trace that
+/// has any left, tagged with the trace's index as its stream id — the
+/// arrival pattern of many applications tracing at once. Empty once
+/// every trace is exhausted.
+fn wave_slices(traces: &[EventTrace], wave: usize, chunk: usize) -> Vec<(StreamId, &[i64])> {
+    let offset = wave * chunk;
+    traces
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| offset < t.values.len())
+        .map(|(s, t)| {
+            let end = (offset + chunk).min(t.values.len());
+            (StreamId(s as u64), &t.values[offset..end])
+        })
+        .collect()
+}
+
+/// Replay `traces` into `svc` wave by wave until every trace is exhausted.
+fn replay_waves(svc: &mut MultiStreamDpd, traces: &[EventTrace], chunk: usize) {
+    for w in 0.. {
+        let records = wave_slices(traces, w, chunk);
+        if records.is_empty() {
+            return;
+        }
+        svc.ingest(&records);
+    }
+}
+
+/// The keyed-table flags `--memory-budget`, `--cold-retain` and
+/// `--evict-after` applied to `builder`. Each defaults to 0, which the
+/// builder reads as off.
+fn table_flags(builder: DpdBuilder, flags: &Flags) -> Result<DpdBuilder, String> {
+    Ok(builder
+        .memory_budget(flags.get_usize("memory-budget", 0)? as u64)
+        .cold_summary(flags.get_usize("cold-retain", 0)? as u64)
+        .evict_after(flags.get_usize("evict-after", 0)? as u64))
 }
 
 fn multistream(flags: &Flags) -> Result<String, String> {
@@ -507,9 +555,8 @@ fn multistream(flags: &Flags) -> Result<String, String> {
     // Table-scale options (defaults off, keeping golden output stable):
     // a per-shard accounted-byte budget and a cold-summary retention
     // window (global samples past the eviction watermark).
-    let memory_budget = flags.get_usize("memory-budget", 0)? as u64;
-    let cold_retain = flags.get_usize("cold-retain", 0)? as u64;
-    let evict_after = flags.get_usize("evict-after", 0)? as u64;
+    let builder = table_flags(DpdBuilder::new().window(window).shards(shards), flags)?;
+    let tiered = flags.get_usize("memory-budget", 0)? > 0 || flags.get_usize("cold-retain", 0)? > 0;
     // `--timing none` suppresses the wall-clock figures so the output is
     // byte-stable (golden-file tests, diffable logs).
     let timing = match flags.get("timing").unwrap_or("show") {
@@ -520,37 +567,12 @@ fn multistream(flags: &Flags) -> Result<String, String> {
 
     let (traces, skipped_sampled) = load_dir_traces(dir)?;
 
-    // Replay all traces concurrently: round-robin chunks until exhausted,
-    // the arrival pattern of many applications tracing at once.
-    let mut builder = DpdBuilder::new().window(window).shards(shards);
-    if evict_after > 0 {
-        builder = builder.evict_after(evict_after);
-    }
-    if memory_budget > 0 {
-        builder = builder.memory_budget(memory_budget);
-    }
-    if cold_retain > 0 {
-        builder = builder.cold_summary(cold_retain);
-    }
+    // Replay all traces concurrently in round-robin waves.
     let mut svc = MultiStreamDpd::from_builder(&builder)
         .map_err(|e| format!("invalid multistream configuration: {e}"))?;
     let total: usize = traces.iter().map(|t| t.len()).sum();
     let start = std::time::Instant::now();
-    let mut offset = 0;
-    loop {
-        let mut records: Vec<(StreamId, &[i64])> = Vec::new();
-        for (s, t) in traces.iter().enumerate() {
-            if offset < t.values.len() {
-                let end = (offset + chunk).min(t.values.len());
-                records.push((StreamId(s as u64), &t.values[offset..end]));
-            }
-        }
-        if records.is_empty() {
-            break;
-        }
-        svc.ingest(&records);
-        offset += chunk;
-    }
+    replay_waves(&mut svc, &traces, chunk);
     let (events, snapshot) = svc.finish();
     let elapsed = start.elapsed();
 
@@ -619,7 +641,7 @@ fn multistream(flags: &Flags) -> Result<String, String> {
     .unwrap();
     // Tier traffic only exists (and is only printed) when the new
     // table-scale options are in play, so default output stays stable.
-    if memory_budget > 0 || cold_retain > 0 {
+    if tiered {
         writeln!(
             out,
             "tiers: cold {} | demoted {} | promoted {}",
@@ -653,24 +675,7 @@ fn predict(flags: &Flags) -> Result<String, String> {
     if horizon == 0 {
         return Err("--horizon must be positive".into());
     }
-    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    // Every event stream of the file, in stable order: declaration order
-    // for DTB containers, the single stream of a text trace otherwise.
-    // Sampled streams are not replayable here (the forecaster extends
-    // event values), so they are counted and reported, not dropped
-    // silently — same policy as `multistream`.
-    let mut skipped_sampled = 0usize;
-    let streams: Vec<EventTrace> = match io::detect_format(&bytes) {
-        Some(TraceFormat::Dtb) => {
-            let (events, sampled) = read_dtb_streams(&bytes).map_err(|e| format!("{path}: {e}"))?;
-            if events.is_empty() {
-                return Err(format!("{path}: container holds no event stream"));
-            }
-            skipped_sampled = sampled.len();
-            events.into_iter().map(|(_, t)| t).collect()
-        }
-        _ => vec![io::read_events(&bytes[..]).map_err(|e| format!("{path}: {e}"))?],
-    };
+    let (streams, skipped_sampled) = read_event_streams(path.as_ref())?;
 
     let mut out = String::new();
     writeln!(
@@ -754,32 +759,15 @@ fn query_cmd(flags: &Flags) -> Result<String, String> {
         return Err(format!("{spec_path}: spec file declares no queries"));
     }
 
-    // Same corpus policy as `predict`: every event stream of a DTB
-    // container in declaration order, or the single stream of a text
-    // trace; sampled streams are reported, not silently dropped.
-    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut skipped_sampled = 0usize;
-    let streams: Vec<EventTrace> = match io::detect_format(&bytes) {
-        Some(TraceFormat::Dtb) => {
-            let (events, sampled) = read_dtb_streams(&bytes).map_err(|e| format!("{path}: {e}"))?;
-            if events.is_empty() {
-                return Err(format!("{path}: container holds no event stream"));
-            }
-            skipped_sampled = sampled.len();
-            events.into_iter().map(|(_, t)| t).collect()
-        }
-        _ => vec![io::read_events(&bytes[..]).map_err(|e| format!("{path}: {e}"))?],
-    };
+    let (streams, skipped_sampled) = read_event_streams(path.as_ref())?;
 
     let mut builder = DpdBuilder::new()
         .window(window)
         .standing_queries(&specs)
+        .evict_after(evict_after)
         .shards(0);
     if horizon > 0 {
         builder = builder.forecast(horizon);
-    }
-    if evict_after > 0 {
-        builder = builder.evict_after(evict_after);
     }
     let mut svc = MultiStreamDpd::from_builder(&builder)
         .map_err(|e| format!("invalid query configuration: {e}"))?;
@@ -810,23 +798,8 @@ fn query_cmd(flags: &Flags) -> Result<String, String> {
         writeln!(out, "  stream#{s} = {} ({} samples)", t.name, t.len()).unwrap();
     }
 
-    // Round-robin replay, `chunk` samples per stream per wave — the same
-    // arrival pattern as `multistream`.
-    let mut offset = 0;
-    loop {
-        let mut records: Vec<(StreamId, &[i64])> = Vec::new();
-        for (s, t) in streams.iter().enumerate() {
-            if offset < t.values.len() {
-                let end = (offset + chunk).min(t.values.len());
-                records.push((StreamId(s as u64), &t.values[offset..end]));
-            }
-        }
-        if records.is_empty() {
-            break;
-        }
-        svc.ingest(&records);
-        offset += chunk;
-    }
+    // The same round-robin arrival pattern as `multistream`.
+    replay_waves(&mut svc, &streams, chunk);
 
     // Replay deltas first: memberships at end-of-replay fold out of them
     // (Enter/Exit strictly alternate per (query, stream) pair), then the
@@ -882,14 +855,13 @@ struct DurableOpts {
     dir: String,
     pile: String,
     snap: String,
-    window: usize,
-    shards: usize,
+    /// The service builder both commands construct — `resume` validates
+    /// the snap file against exactly this configuration (including the
+    /// table-scale budget/tier options, which are part of the v2 snapshot
+    /// body).
+    builder: DpdBuilder,
     chunk: usize,
     every: usize,
-    horizon: usize,
-    memory_budget: u64,
-    cold_retain: u64,
-    evict_after: u64,
     throttle_ms: u64,
 }
 
@@ -908,41 +880,25 @@ impl DurableOpts {
             .get("snap")
             .map(str::to_string)
             .unwrap_or_else(|| format!("{pile}.snap"));
+        let mut builder = DpdBuilder::new()
+            .window(flags.get_usize("window", 64)?)
+            .shards(flags.get_usize("shards", 0)?);
+        let chunk = flags.get_usize("chunk", 256)?.max(1);
+        let every = flags.get_usize("every", 8)?.max(1);
+        // `forecast(0)` is an error, not "off".
+        let horizon = flags.get_usize("forecast", 0)?;
+        if horizon > 0 {
+            builder = builder.forecast(horizon);
+        }
         Ok(DurableOpts {
             dir,
             pile,
             snap,
-            window: flags.get_usize("window", 64)?,
-            shards: flags.get_usize("shards", 0)?,
-            chunk: flags.get_usize("chunk", 256)?.max(1),
-            every: flags.get_usize("every", 8)?.max(1),
-            horizon: flags.get_usize("forecast", 0)?,
-            memory_budget: flags.get_usize("memory-budget", 0)? as u64,
-            cold_retain: flags.get_usize("cold-retain", 0)? as u64,
-            evict_after: flags.get_usize("evict-after", 0)? as u64,
+            builder: table_flags(builder, flags)?,
+            chunk,
+            every,
             throttle_ms: flags.get_usize("throttle-ms", 0)? as u64,
         })
-    }
-
-    /// The service builder both commands construct — `resume` validates
-    /// the snap file against exactly this configuration (including the
-    /// table-scale budget/tier options, which are part of the v2 snapshot
-    /// body).
-    fn builder(&self) -> DpdBuilder {
-        let mut b = DpdBuilder::new().window(self.window).shards(self.shards);
-        if self.horizon > 0 {
-            b = b.forecast(self.horizon);
-        }
-        if self.evict_after > 0 {
-            b = b.evict_after(self.evict_after);
-        }
-        if self.memory_budget > 0 {
-            b = b.memory_budget(self.memory_budget);
-        }
-        if self.cold_retain > 0 {
-            b = b.cold_summary(self.cold_retain);
-        }
-        b
     }
 }
 
@@ -960,15 +916,10 @@ fn print_events(out: &mut String, mut events: Vec<MultiStreamEvent>) {
 
 /// The round-robin records of one wave, in pile-frame form.
 fn wave_records(traces: &[EventTrace], wave: usize, chunk: usize) -> Vec<(u64, Vec<i64>)> {
-    let offset = wave * chunk;
-    let mut records = Vec::new();
-    for (s, t) in traces.iter().enumerate() {
-        if offset < t.values.len() {
-            let end = (offset + chunk).min(t.values.len());
-            records.push((s as u64, t.values[offset..end].to_vec()));
-        }
-    }
-    records
+    wave_slices(traces, wave, chunk)
+        .into_iter()
+        .map(|(s, v)| (s.0, v.to_vec()))
+        .collect()
 }
 
 /// Checkpoint the service to the snap file and append the epoch marker to
@@ -1090,7 +1041,7 @@ fn finish_run(
 fn checkpoint_cmd(flags: &Flags) -> Result<String, String> {
     let opts = DurableOpts::parse("checkpoint", flags)?;
     let (traces, _) = load_dir_traces(&opts.dir)?;
-    let mut svc = MultiStreamDpd::from_builder(&opts.builder())
+    let mut svc = MultiStreamDpd::from_builder(&opts.builder)
         .map_err(|e| format!("invalid checkpoint configuration: {e}"))?;
     let (mut pile, rec) =
         PileWriter::open(&opts.pile).map_err(|e| format!("open pile {}: {e}", opts.pile))?;
@@ -1126,7 +1077,7 @@ fn resume_cmd(flags: &Flags) -> Result<String, String> {
     let (traces, _) = load_dir_traces(&opts.dir)?;
     let (mut pile, rec) =
         PileWriter::open(&opts.pile).map_err(|e| format!("open pile {}: {e}", opts.pile))?;
-    let (mut svc, marker) = MultiStreamDpd::resume(&opts.builder(), &opts.snap)
+    let (mut svc, marker) = MultiStreamDpd::resume(&opts.builder, &opts.snap)
         .map_err(|e| format!("resume {}: {e}", opts.snap))?;
     let mut out = String::new();
     writeln!(

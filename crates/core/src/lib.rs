@@ -48,21 +48,20 @@
 //!
 //! Every one of those stacks is constructed through **one typed entry
 //! point**, [`pipeline::DpdBuilder`], which validates option combinations
-//! ([`pipeline::BuildError`]) and reports through one event stream
-//! ([`pipeline::EventSink`] / [`pipeline::DpdEvent`]).
+//! ([`pipeline::BuildError`]); each finisher returns its own stack, which
+//! reports through its own `push` return value.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use dpd_core::pipeline::{Detector, DpdBuilder, DpdEvent};
+//! use dpd_core::pipeline::DpdBuilder;
 //! use dpd_core::streaming::SegmentEvent;
 //!
 //! // A stream of "parallel loop addresses" with period 3: A B C A B C ...
 //! let stream = [10i64, 20, 30, 10, 20, 30, 10, 20, 30, 10, 20, 30];
-//! let mut pipe = DpdBuilder::new().window(8).build(Vec::new()).unwrap();
-//! pipe.push_slice(&stream);
-//! let detected = pipe.into_sink().iter().find_map(|(_, e)| match e {
-//!     DpdEvent::Segment(SegmentEvent::PeriodStart { period, .. }) => Some(*period),
+//! let mut dpd = DpdBuilder::new().window(8).build_detector().unwrap();
+//! let detected = dpd.push_slice(&stream).iter().find_map(|e| match e {
+//!     SegmentEvent::PeriodStart { period, .. } => Some(*period),
 //!     _ => None,
 //! });
 //! assert_eq!(detected, Some(3));
@@ -91,7 +90,7 @@ pub mod window;
 pub use capi::Dpd;
 pub use detector::{FrameDetector, PeriodicityReport};
 pub use metric::{EventMetric, L1Metric, Metric};
-pub use pipeline::{BuildError, Detector, DpdBuilder, DpdEvent, EventSink};
+pub use pipeline::{BuildError, DpdBuilder};
 pub use predict::{Forecast, ForecastStats, ForecastingDpd, PredictConfig, Predictor};
 pub use query::{QueryChange, QueryDelta, QueryEngine, QueryId, QuerySpec};
 pub use shard::{

@@ -4,51 +4,48 @@
 //! detector fed a sample stream, emitting periods, segments and forecasts —
 //! but a grown codebase easily fractures that object into parallel
 //! construction paths (the Table 1 `Dpd`, `StreamingDpd` + config,
-//! `MultiScaleDpd`, `ForecastingDpd`, `StreamTable`, the sharded service),
-//! each with its own push/event vocabulary. This module is the unification:
+//! `MultiScaleDpd`, `ForecastingDpd`, `StreamTable`, the sharded service).
+//! [`DpdBuilder`] is the one builder whose typed options (window, metric,
+//! multi-scale bank, forecast horizon, keyed table, shard count) cover
+//! every stack; incoherent combinations are rejected with a precise
+//! [`BuildError`] instead of panicking or silently misbehaving.
 //!
-//! * [`DpdBuilder`] — one builder whose typed options (window, metric,
-//!   multi-scale bank, forecast horizon, keyed table, shard count) cover
-//!   every stack; incoherent combinations are rejected with a precise
-//!   [`BuildError`] instead of panicking or silently misbehaving,
-//! * [`Detector`] — the uniform push surface (`push` / `push_slice`),
-//! * [`EventSink`] + [`DpdEvent`] — the uniform event stream: segmentation,
-//!   per-scale nested-period reports, stream-close flushes and forecast
-//!   issuance/scoring all arrive through one `on_event(stream, &event)`
-//!   call, whatever stack produced them.
+//! The builder is the only construction path. Each finisher returns its
+//! own stack, and the stack reports through its own `push` return value,
+//! as the paper's `int DPD(long sample, int *period)` does: a
+//! [`SegmentEvent`] per sample from a detector, the per-scale events from
+//! a bank, and the event plus a forecast [`Observation`] from a
+//! forecaster. `tests/proptest_pipeline.rs` checks that finishers built
+//! from the same options agree with each other.
 //!
-//! The builder is the only construction path. The unified pipeline reports
-//! exactly the events of the raw stack the same options build
-//! (property-tested in `tests/proptest_pipeline.rs`).
+//! [`Observation`]: crate::predict::Observation
+//! [`SegmentEvent`]: crate::streaming::SegmentEvent
 //!
 //! # Quick start
 //!
 //! ```
-//! use dpd_core::pipeline::{Detector, DpdBuilder, DpdEvent};
+//! use dpd_core::pipeline::DpdBuilder;
 //! use dpd_core::streaming::SegmentEvent;
 //!
-//! // Period-3 loop-address stream through the default event-stream stack.
-//! let mut pipe = DpdBuilder::new().window(8).build(Vec::new()).unwrap();
-//! for i in 0..30usize {
-//!     pipe.push([0x400000i64, 0x400040, 0x400080][i % 3]);
-//! }
-//! let events = pipe.into_sink();
-//! assert!(events.iter().any(|(_, e)| matches!(
-//!     e,
-//!     DpdEvent::Segment(SegmentEvent::PeriodStart { period: 3, .. })
-//! )));
+//! // Period-3 loop-address stream through the event-stream detector.
+//! let mut dpd = DpdBuilder::new().window(8).build_detector().unwrap();
+//! let stream: Vec<i64> = (0..30).map(|i| [0x400000, 0x400040, 0x400080][i % 3]).collect();
+//! let events = dpd.push_slice(&stream);
+//! assert!(events
+//!     .iter()
+//!     .any(|e| matches!(e, SegmentEvent::PeriodStart { period: 3, .. })));
 //! ```
 //!
 //! A forecasting stack is the same entry point plus one option:
 //!
 //! ```
-//! use dpd_core::pipeline::{Detector, DpdBuilder};
+//! use dpd_core::pipeline::DpdBuilder;
 //!
-//! let mut pipe = DpdBuilder::new().window(8).forecast(4).build(Vec::new()).unwrap();
+//! let mut f = DpdBuilder::new().window(8).forecast(4).build_forecasting().unwrap();
 //! for i in 0..40usize {
-//!     pipe.push([10i64, 20, 30][i % 3]);
+//!     f.push([10i64, 20, 30][i % 3]);
 //! }
-//! let fc = pipe.forecast(4).expect("locked and primed");
+//! let fc = f.forecast(4).expect("locked and primed");
 //! assert_eq!(fc.period, 3);
 //! assert_eq!(fc.predicted, &[20, 30, 10, 20]);
 //! ```
@@ -56,11 +53,11 @@
 use crate::capi::Dpd;
 use crate::metric::{EventMetric, L1Metric};
 use crate::minima::MinimaPolicy;
-use crate::predict::{Forecast, ForecastingDpd, PredictConfig, Predictor};
+use crate::predict::{ForecastingDpd, PredictConfig, Predictor};
 use crate::query::QuerySpec;
-use crate::shard::{MultiStreamEvent, StreamId, StreamTable, TableConfig};
+use crate::shard::{StreamTable, TableConfig};
 use crate::snapshot::{Restore, SnapshotError};
-use crate::streaming::{MultiScaleDpd, SegmentEvent, StreamingConfig, StreamingDpd};
+use crate::streaming::{MultiScaleDpd, StreamingConfig, StreamingDpd};
 use crate::DpdError;
 
 /// The paper's multi-scale setting: small, medium and large windows
@@ -83,8 +80,8 @@ pub enum BuildError {
     /// `scales(&[])`: a multi-scale bank needs at least one window.
     EmptyScales,
     /// A multi-scale bank cannot drive the forecaster (which extends one
-    /// stream under one lock); forecast on the outer scale explicitly via
-    /// two pipelines instead.
+    /// stream under one lock); build a forecaster at the outer scale's
+    /// window next to the bank instead.
     ScalesWithForecast,
     /// A multi-scale bank is a single-stream analysis; it cannot be the
     /// per-stream detector of a keyed table or sharded service.
@@ -95,8 +92,7 @@ pub enum BuildError {
     /// [`DpdBuilder::build_multi_scale`] needs [`DpdBuilder::scales`].
     ScalesRequired,
     /// A plain single detector was requested but a forecast horizon is
-    /// configured; finish with [`DpdBuilder::build_forecasting`] or
-    /// [`DpdBuilder::build`] instead.
+    /// configured; finish with [`DpdBuilder::build_forecasting`] instead.
     ForecastOnPlainDetector,
     /// [`DpdBuilder::build_forecasting`] needs [`DpdBuilder::forecast`].
     ForecastRequired,
@@ -276,124 +272,6 @@ impl From<SnapshotError> for BuildError {
     }
 }
 
-/// The uniform push surface of every event-stream detector stack.
-///
-/// Implementations feed their configured [`EventSink`] as a side effect of
-/// pushing; the paper's per-sample return value becomes sink traffic, so a
-/// consumer wired against `Detector` + `EventSink` works unchanged whether
-/// the stack is a plain detector, a multi-scale bank or a forecaster.
-pub trait Detector {
-    /// Push one sample.
-    fn push(&mut self, sample: i64);
-
-    /// Push a whole slice of samples, in order. Semantically identical to
-    /// per-sample [`Detector::push`].
-    fn push_slice(&mut self, samples: &[i64]) {
-        for &s in samples {
-            self.push(s);
-        }
-    }
-}
-
-/// The uniform event stream: one callback for every observation any stack
-/// makes, tagged with the logical stream it belongs to.
-///
-/// Implementations exist for `Vec<(StreamId, DpdEvent)>` (collect), for any
-/// `FnMut(StreamId, &DpdEvent)` closure, and for `()` (discard).
-pub trait EventSink {
-    /// Handle one event on one stream.
-    fn on_event(&mut self, stream: StreamId, event: &DpdEvent);
-}
-
-impl EventSink for Vec<(StreamId, DpdEvent)> {
-    fn on_event(&mut self, stream: StreamId, event: &DpdEvent) {
-        self.push((stream, *event));
-    }
-}
-
-impl EventSink for () {
-    fn on_event(&mut self, _stream: StreamId, _event: &DpdEvent) {}
-}
-
-impl<F: FnMut(StreamId, &DpdEvent)> EventSink for F {
-    fn on_event(&mut self, stream: StreamId, event: &DpdEvent) {
-        self(stream, event)
-    }
-}
-
-/// One observation from any detector stack, on one logical stream.
-///
-/// `#[non_exhaustive]`: downstream matches must carry a wildcard arm, so
-/// new observation kinds (new subsystems) extend the enum without breaking
-/// consumers — the whole point of funnelling every layer's vocabulary
-/// through one type.
-///
-/// Per pushed sample, a stack emits events in a fixed order: the
-/// segmentation observation first, then forecast invalidation, scoring and
-/// issuance (mirroring [`Predictor::observe`]'s internal step order).
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DpdEvent {
-    /// A segmentation event from a single-detector stack (never
-    /// [`SegmentEvent::None`]).
-    Segment(SegmentEvent),
-    /// A segmentation event from one scale of a multi-scale bank — the
-    /// nested-period report, tagged with the scale's window size.
-    Scale {
-        /// Window size `N` of the scale that observed the event.
-        window: usize,
-        /// The underlying detector event (never [`SegmentEvent::None`]).
-        event: SegmentEvent,
-    },
-    /// A stream was explicitly closed; the final segmentation state is the
-    /// close-time "flush".
-    Closed {
-        /// Samples the stream received over its lifetime.
-        samples: u64,
-        /// The periodicity locked at close time, if any.
-        period: Option<usize>,
-    },
-    /// The forecaster issued its `H`-step-ahead prediction for an upcoming
-    /// position.
-    ForecastIssued {
-        /// Stream position (0-based) the prediction targets.
-        position: u64,
-        /// The predicted value.
-        value: i64,
-    },
-    /// A standing prediction was scored against the sample that arrived at
-    /// its target position.
-    ForecastScored {
-        /// What was predicted for this position.
-        predicted: i64,
-        /// What actually arrived.
-        actual: i64,
-        /// `predicted == actual`.
-        hit: bool,
-    },
-    /// A phase change invalidated the forecast state: outstanding
-    /// predictions were dropped unscored (see `docs/PREDICTION.md`).
-    ForecastInvalidated {
-        /// Outstanding predictions dropped by this invalidation.
-        dropped: u64,
-    },
-}
-
-impl DpdEvent {
-    /// Translate a [`MultiStreamEvent`] into the unified vocabulary,
-    /// splitting off the stream tag.
-    pub fn from_multi_stream(event: &MultiStreamEvent) -> (StreamId, DpdEvent) {
-        match *event {
-            MultiStreamEvent::Segment { stream, event } => (stream, DpdEvent::Segment(event)),
-            MultiStreamEvent::Closed {
-                stream,
-                samples,
-                period,
-            } => (stream, DpdEvent::Closed { samples, period }),
-        }
-    }
-}
-
 /// Everything `par-runtime` needs to assemble the sharded service from a
 /// builder: the validated per-stream table configuration (the factory each
 /// shard clones), the shard count, the sweep cadence, and the registered
@@ -420,7 +298,6 @@ pub struct ServiceSpec {
 ///
 /// | finisher | stack |
 /// |----------|-------|
-/// | [`build`](DpdBuilder::build) | unified single-stream pipeline (plain / multi-scale / forecasting) behind [`Detector`] + [`EventSink`] |
 /// | [`build_detector`](DpdBuilder::build_detector) | raw [`StreamingDpd`] (event metric, equation 2) |
 /// | [`build_magnitude_detector`](DpdBuilder::build_magnitude_detector) | raw [`StreamingDpd`] (`f64` L1 metric, equation 1) |
 /// | [`build_multi_scale`](DpdBuilder::build_multi_scale) | raw [`MultiScaleDpd`] bank |
@@ -448,7 +325,6 @@ pub struct DpdBuilder {
     cold_retain: u64,
     shards: Option<usize>,
     sweep_every: Option<u64>,
-    stream: StreamId,
     queries: Vec<QuerySpec>,
 }
 
@@ -478,7 +354,6 @@ impl DpdBuilder {
             cold_retain: 0,
             shards: None,
             sweep_every: None,
-            stream: StreamId(0),
             queries: Vec::new(),
         }
     }
@@ -605,13 +480,6 @@ impl DpdBuilder {
     /// [`StreamTable::sweep`].
     pub fn sweep_every(mut self, samples: u64) -> Self {
         self.sweep_every = Some(samples);
-        self
-    }
-
-    /// Tag for the single logical stream of a [`DpdBuilder::build`]
-    /// pipeline's events (default `StreamId(0)`).
-    pub fn stream_id(mut self, stream: StreamId) -> Self {
-        self.stream = stream;
         self
     }
 
@@ -766,16 +634,6 @@ impl DpdBuilder {
         StreamingDpd::events(self.assemble_detector()).map_err(BuildError::Detector)
     }
 
-    /// Assemble the detector + forecaster bundle (options already
-    /// validated, horizon already resolved).
-    fn assemble_forecasting(&self, horizon: usize) -> Result<ForecastingDpd, BuildError> {
-        let predict = PredictConfig::new(self.window, horizon).map_err(BuildError::Detector)?;
-        Ok(ForecastingDpd::from_parts(
-            self.assemble_event_detector()?,
-            Predictor::new(predict),
-        ))
-    }
-
     /// A raw event-stream detector (equation 2) — the paper's on-line DPD.
     pub fn build_detector(&self) -> Result<StreamingDpd<i64, EventMetric>, BuildError> {
         self.validate_shared()?;
@@ -834,33 +692,11 @@ impl DpdBuilder {
             return Err(BuildError::MagnitudesOnEventPipeline);
         }
         let horizon = self.horizon.ok_or(BuildError::ForecastRequired)?;
-        self.assemble_forecasting(horizon)
-    }
-
-    /// The unified single-stream pipeline: the stack the options select
-    /// (plain detector, multi-scale bank, or forecaster), pushing every
-    /// observation into `sink` as [`DpdEvent`]s tagged
-    /// [`DpdBuilder::stream_id`].
-    pub fn build<S: EventSink>(&self, sink: S) -> Result<DpdPipeline<S>, BuildError> {
-        self.validate_shared()?;
-        self.validate_single_stream()?;
-        if self.magnitudes {
-            return Err(BuildError::MagnitudesOnEventPipeline);
-        }
-        // validate_shared above already rejected every incoherent combo;
-        // dispatch straight to the assemblers (one validation pass).
-        let stack = if let Some(horizon) = self.horizon {
-            Stack::Forecasting(self.assemble_forecasting(horizon)?)
-        } else if let Some(scales) = &self.scales {
-            Stack::MultiScale(MultiScaleDpd::from_windows(scales).map_err(BuildError::Detector)?)
-        } else {
-            Stack::Streaming(self.assemble_event_detector()?)
-        };
-        Ok(DpdPipeline {
-            stack,
-            sink,
-            stream: self.stream,
-        })
+        let predict = PredictConfig::new(self.window, horizon).map_err(BuildError::Detector)?;
+        Ok(ForecastingDpd::from_parts(
+            self.assemble_event_detector()?,
+            Predictor::new(predict),
+        ))
     }
 
     /// Validate and assemble the per-stream table configuration shared by
@@ -906,7 +742,7 @@ impl DpdBuilder {
     }
 
     /// A raw keyed stream table: one independent detector per
-    /// [`StreamId`], created lazily. Registered standing queries
+    /// [`StreamId`](crate::shard::StreamId), created lazily. Registered standing queries
     /// ([`DpdBuilder::standing_query`]) are attached before the table sees
     /// its first sample.
     pub fn build_table(&self) -> Result<StreamTable, BuildError> {
@@ -1036,299 +872,9 @@ impl DpdBuilder {
     }
 }
 
-/// The stack a [`DpdBuilder::build`] call assembled. The size spread
-/// between variants is fine: exactly one `Stack` exists per pipeline, so
-/// boxing the large variant would only add an indirection to the hot
-/// push path.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)]
-enum Stack {
-    Streaming(StreamingDpd<i64, EventMetric>),
-    MultiScale(MultiScaleDpd),
-    Forecasting(ForecastingDpd),
-}
-
-/// A single-stream detector stack behind the uniform [`Detector`] push
-/// surface, reporting through one [`EventSink`].
-///
-/// Built by [`DpdBuilder::build`]; the stack is whichever of today's
-/// detector objects the builder options selected, and the typed accessors
-/// ([`DpdPipeline::streaming`], [`DpdPipeline::multi_scale`],
-/// [`DpdPipeline::forecasting`]) expose it for stack-specific statistics.
-#[derive(Debug, Clone)]
-pub struct DpdPipeline<S: EventSink> {
-    stack: Stack,
-    sink: S,
-    stream: StreamId,
-}
-
-impl<S: EventSink> Detector for DpdPipeline<S> {
-    fn push(&mut self, sample: i64) {
-        match &mut self.stack {
-            Stack::Streaming(dpd) => {
-                let e = dpd.push(sample);
-                if e != SegmentEvent::None {
-                    self.sink.on_event(self.stream, &DpdEvent::Segment(e));
-                }
-            }
-            Stack::MultiScale(bank) => {
-                for (window, event) in bank.push(sample).events {
-                    self.sink
-                        .on_event(self.stream, &DpdEvent::Scale { window, event });
-                }
-            }
-            Stack::Forecasting(f) => {
-                let (e, ob) = f.push(sample);
-                if e != SegmentEvent::None {
-                    self.sink.on_event(self.stream, &DpdEvent::Segment(e));
-                }
-                if ob.invalidated {
-                    self.sink.on_event(
-                        self.stream,
-                        &DpdEvent::ForecastInvalidated {
-                            dropped: ob.dropped,
-                        },
-                    );
-                }
-                if let Some(s) = ob.scored {
-                    self.sink.on_event(
-                        self.stream,
-                        &DpdEvent::ForecastScored {
-                            predicted: s.predicted,
-                            actual: s.actual,
-                            hit: s.hit,
-                        },
-                    );
-                }
-                if let Some((position, value)) = ob.issued {
-                    self.sink
-                        .on_event(self.stream, &DpdEvent::ForecastIssued { position, value });
-                }
-            }
-        }
-    }
-
-    /// Forwards to the stack's own batch-ingestion path where one exists
-    /// (`StreamingDpd::push_slice` / `MultiScaleDpd::push_slice`, which
-    /// produce exactly the per-sample event sequence); the forecasting
-    /// stack is inherently per-sample (the predictor must observe every
-    /// sample/event pair) and falls back to the loop.
-    fn push_slice(&mut self, samples: &[i64]) {
-        match &mut self.stack {
-            Stack::Streaming(dpd) => {
-                for e in dpd.push_slice(samples) {
-                    self.sink.on_event(self.stream, &DpdEvent::Segment(e));
-                }
-            }
-            Stack::MultiScale(bank) => {
-                for (window, event) in bank.push_slice(samples) {
-                    self.sink
-                        .on_event(self.stream, &DpdEvent::Scale { window, event });
-                }
-            }
-            Stack::Forecasting(_) => {
-                for &s in samples {
-                    self.push(s);
-                }
-            }
-        }
-    }
-}
-
-impl<S: EventSink> DpdPipeline<S> {
-    /// The stream tag on emitted events.
-    pub fn stream_id(&self) -> StreamId {
-        self.stream
-    }
-
-    /// Distinct periodicities detected so far, ascending — the union over
-    /// scales for a multi-scale stack (paper Table 2 cell).
-    pub fn detected_periods(&self) -> Vec<usize> {
-        match &self.stack {
-            Stack::Streaming(d) => d.stats().detected_periods(),
-            Stack::MultiScale(bank) => bank.detected_periods(),
-            Stack::Forecasting(f) => f.dpd().stats().detected_periods(),
-        }
-    }
-
-    /// The currently locked periodicity, if any (largest-window lock for a
-    /// multi-scale stack).
-    pub fn locked_period(&self) -> Option<usize> {
-        match &self.stack {
-            Stack::Streaming(d) => d.locked_period(),
-            Stack::MultiScale(bank) => bank
-                .scales()
-                .iter()
-                .filter_map(|d| d.locked_period().map(|p| (d.window(), p)))
-                .max_by_key(|&(window, _)| window)
-                .map(|(_, period)| period),
-            Stack::Forecasting(f) => f.dpd().locked_period(),
-        }
-    }
-
-    /// Materialize the forecast for the next `h` positions (forecasting
-    /// stacks only; `None` otherwise, or before locked-and-primed).
-    pub fn forecast(&mut self, h: usize) -> Option<Forecast<'_>> {
-        match &mut self.stack {
-            Stack::Forecasting(f) => f.forecast(h),
-            _ => None,
-        }
-    }
-
-    /// The plain streaming detector, when that is the assembled stack.
-    pub fn streaming(&self) -> Option<&StreamingDpd<i64, EventMetric>> {
-        match &self.stack {
-            Stack::Streaming(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// The multi-scale bank, when that is the assembled stack.
-    pub fn multi_scale(&self) -> Option<&MultiScaleDpd> {
-        match &self.stack {
-            Stack::MultiScale(bank) => Some(bank),
-            _ => None,
-        }
-    }
-
-    /// The forecasting bundle, when that is the assembled stack.
-    pub fn forecasting(&self) -> Option<&ForecastingDpd> {
-        match &self.stack {
-            Stack::Forecasting(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The event sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Mutable access to the event sink (e.g. to drain a collected `Vec`).
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
-    /// Tear down the pipeline, returning the sink.
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn periodic(period: i64, len: usize) -> Vec<i64> {
-        (0..len as i64).map(|i| i % period).collect()
-    }
-
-    #[test]
-    fn plain_pipeline_segments() {
-        let mut pipe = DpdBuilder::new().window(8).build(Vec::new()).unwrap();
-        pipe.push_slice(&periodic(3, 60));
-        assert_eq!(pipe.detected_periods(), vec![3]);
-        assert_eq!(pipe.locked_period(), Some(3));
-        let events = pipe.into_sink();
-        assert!(events.iter().all(|(s, _)| *s == StreamId(0)));
-        assert!(events
-            .iter()
-            .any(|(_, e)| matches!(e, DpdEvent::Segment(SegmentEvent::PeriodStart { .. }))));
-    }
-
-    #[test]
-    fn multi_scale_pipeline_reports_scales() {
-        let mut outer: Vec<i64> = Vec::new();
-        for _ in 0..8 {
-            outer.extend([1i64, 2, 3, 4]);
-        }
-        outer.extend(101..109);
-        let data: Vec<i64> = (0..400).map(|i| outer[i % 40]).collect();
-        let mut pipe = DpdBuilder::new()
-            .scales(&[8, 128])
-            .build(Vec::new())
-            .unwrap();
-        pipe.push_slice(&data);
-        assert_eq!(pipe.detected_periods(), vec![4, 40]);
-        assert!(pipe.multi_scale().is_some());
-        let windows: std::collections::BTreeSet<usize> = pipe
-            .sink()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                DpdEvent::Scale { window, .. } => Some(*window),
-                _ => None,
-            })
-            .collect();
-        assert!(windows.contains(&8) && windows.contains(&128));
-    }
-
-    #[test]
-    fn forecasting_pipeline_emits_full_lifecycle() {
-        let mut data = periodic(3, 60);
-        data.extend((0..80).map(|i| [10i64, 20, 30, 40, 50][i % 5]));
-        let mut pipe = DpdBuilder::new()
-            .window(8)
-            .forecast(2)
-            .build(Vec::new())
-            .unwrap();
-        pipe.push_slice(&data);
-        let events = pipe.into_sink();
-        let mut issued = 0u64;
-        let mut scored = 0u64;
-        let mut invalidated = 0u64;
-        for (_, e) in &events {
-            match e {
-                DpdEvent::ForecastIssued { .. } => issued += 1,
-                DpdEvent::ForecastScored { hit, .. } => {
-                    assert!(hit, "exactly periodic phases must score hits");
-                    scored += 1;
-                }
-                DpdEvent::ForecastInvalidated { .. } => invalidated += 1,
-                _ => {}
-            }
-        }
-        assert!(issued > 0 && scored > 0 && invalidated >= 1);
-        assert!(issued >= scored, "scoring lags issuance");
-    }
-
-    #[test]
-    fn forecast_issuance_matches_predictor_bookkeeping() {
-        let mut pipe = DpdBuilder::new()
-            .window(8)
-            .forecast(3)
-            .build(Vec::new())
-            .unwrap();
-        pipe.push_slice(&periodic(4, 100));
-        let stats = pipe.forecasting().unwrap().predictor().stats();
-        let issued = pipe
-            .sink()
-            .iter()
-            .filter(|(_, e)| matches!(e, DpdEvent::ForecastIssued { .. }))
-            .count() as u64;
-        let scored = pipe
-            .sink()
-            .iter()
-            .filter(|(_, e)| matches!(e, DpdEvent::ForecastScored { .. }))
-            .count() as u64;
-        assert_eq!(issued, stats.issued);
-        assert_eq!(scored, stats.checked);
-    }
-
-    #[test]
-    fn closure_and_unit_sinks() {
-        let mut count = 0usize;
-        let mut pipe = DpdBuilder::new()
-            .window(8)
-            .build(|_s: StreamId, _e: &DpdEvent| count += 1)
-            .unwrap();
-        pipe.push_slice(&periodic(3, 40));
-        drop(pipe);
-        assert!(count > 0);
-
-        let mut silent = DpdBuilder::new().window(8).build(()).unwrap();
-        silent.push_slice(&periodic(3, 40));
-        assert_eq!(silent.locked_period(), Some(3));
-    }
 
     /// Satellite: every documented incoherent option combination returns
     /// its precise `BuildError` variant — none of them panic.
@@ -1376,7 +922,7 @@ mod tests {
             ),
             (
                 "forecast horizon on a multi-scale bank",
-                b().scales(&[8]).forecast(2).build(()).err(),
+                b().scales(&[8]).forecast(2).build_forecasting().err(),
                 E::ScalesWithForecast,
             ),
             (
@@ -1411,7 +957,7 @@ mod tests {
             ),
             (
                 "magnitudes with scales",
-                b().magnitudes().scales(&[8]).build(()).err(),
+                b().magnitudes().scales(&[8]).build_multi_scale().err(),
                 E::MagnitudesWithScales,
             ),
             (
@@ -1431,7 +977,7 @@ mod tests {
             ),
             (
                 "magnitudes on the event pipeline",
-                b().magnitudes().build(()).err(),
+                b().magnitudes().build_detector().err(),
                 E::MagnitudesOnEventPipeline,
             ),
             (
@@ -1441,7 +987,7 @@ mod tests {
             ),
             (
                 "eviction on a single-stream finisher",
-                b().evict_after(64).build(()).err(),
+                b().evict_after(64).build_capi().err(),
                 E::KeyedOnSingleStream,
             ),
             (
@@ -1481,7 +1027,7 @@ mod tests {
             ),
             (
                 "cold summaries on a single-stream finisher",
-                b().cold_summary(64).build(()).err(),
+                b().cold_summary(64).build_forecasting().err(),
                 E::KeyedOnSingleStream,
             ),
             (
@@ -1658,18 +1204,5 @@ mod tests {
             .unwrap();
         assert_eq!(explicit.sweep_every, 50);
         assert_eq!(explicit.shards, 0);
-    }
-
-    #[test]
-    fn stream_id_tags_pipeline_events() {
-        let mut pipe = DpdBuilder::new()
-            .window(8)
-            .stream_id(StreamId(42))
-            .build(Vec::new())
-            .unwrap();
-        pipe.push_slice(&periodic(3, 40));
-        assert_eq!(pipe.stream_id(), StreamId(42));
-        assert!(!pipe.sink().is_empty());
-        assert!(pipe.sink().iter().all(|(s, _)| *s == StreamId(42)));
     }
 }

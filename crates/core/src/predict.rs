@@ -297,8 +297,8 @@ impl Predictor {
 
     /// The most recently issued outstanding prediction, as
     /// `(target_position, value)`; `None` when nothing is outstanding.
-    /// The unified pipeline uses this to surface issuance on its event
-    /// stream without re-deriving the periodic extension.
+    /// Right after [`Predictor::observe`] issues, this is the issued
+    /// [`Observation`]'s `issued` pair.
     pub fn last_issued(&self) -> Option<(u64, i64)> {
         self.pending.back().map(|p| (p.pos, p.value))
     }

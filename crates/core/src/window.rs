@@ -240,14 +240,6 @@ impl<T: Copy> MirroredHistory<T> {
         self.pushed += 1;
     }
 
-    /// Append every sample of `slice` in order.
-    #[inline]
-    pub fn extend_from_slice(&mut self, slice: &[T]) {
-        for &s in slice {
-            self.push(s);
-        }
-    }
-
     /// The most recent `k` retained samples as one contiguous slice, oldest
     /// first (`tail(k)[k - 1]` is the newest sample).
     ///
@@ -295,29 +287,6 @@ impl<T: Copy> MirroredHistory<T> {
     /// [`RingWindow::set_pushed`]).
     pub(crate) fn set_pushed(&mut self, n: u64) {
         self.pushed = n;
-    }
-
-    /// Grow or shrink the retention capacity, preserving the most recent
-    /// samples that fit.
-    ///
-    /// # Panics
-    /// Panics if `new_capacity` is zero.
-    pub fn resize(&mut self, new_capacity: usize) {
-        assert!(
-            new_capacity > 0,
-            "MirroredHistory capacity must be non-zero"
-        );
-        if new_capacity == self.cap {
-            return;
-        }
-        let keep: Vec<T> = self.tail(self.len.min(new_capacity)).to_vec();
-        let pushed = self.pushed;
-        self.buf = Box::default();
-        self.cap = new_capacity;
-        self.head = 0;
-        self.len = 0;
-        self.extend_from_slice(&keep);
-        self.pushed = pushed;
     }
 }
 
@@ -476,19 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn mirrored_extend_equals_pushes() {
-        let data: Vec<i64> = (0..50).collect();
-        let mut a = MirroredHistory::new(8);
-        let mut b = MirroredHistory::new(8);
-        a.extend_from_slice(&data);
-        for &v in &data {
-            b.push(v);
-        }
-        assert_eq!(a.to_vec(), b.to_vec());
-        assert_eq!(a.pushed(), b.pushed());
-    }
-
-    #[test]
     fn mirrored_clear_keeps_counter() {
         let mut h = MirroredHistory::new(4);
         h.push(1i64);
@@ -498,21 +454,5 @@ mod tests {
         assert_eq!(h.pushed(), 2);
         h.push(9);
         assert_eq!(h.to_vec(), vec![9]);
-    }
-
-    #[test]
-    fn mirrored_resize_keeps_newest() {
-        let mut h = MirroredHistory::new(6);
-        for v in 0..10i64 {
-            h.push(v);
-        }
-        h.resize(3);
-        assert_eq!(h.capacity(), 3);
-        assert_eq!(h.to_vec(), vec![7, 8, 9]);
-        assert_eq!(h.pushed(), 10);
-        h.resize(8);
-        assert_eq!(h.to_vec(), vec![7, 8, 9]);
-        h.push(10);
-        assert_eq!(h.to_vec(), vec![7, 8, 9, 10]);
     }
 }

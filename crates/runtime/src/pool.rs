@@ -9,6 +9,7 @@
 
 use crate::cpustat::CpuUsage;
 use crate::sync::{lock, Fifo};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -57,7 +58,10 @@ impl ThreadPool {
                     .spawn(move || {
                         sh.jobs.consume(|job| {
                             sh.usage.enter();
-                            job();
+                            // A panicking job must not take its worker, the
+                            // usage count or the pending count with it; the
+                            // panic hook has already reported it.
+                            let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
                             sh.usage.leave();
                             // SeqCst pairs with wait_idle's registration:
                             // either this decrement-to-zero sees the
@@ -88,7 +92,8 @@ impl ThreadPool {
         Arc::clone(&self.shared.usage)
     }
 
-    /// Submit a job for execution.
+    /// Submit a job for execution. A job that panics counts as finished:
+    /// its worker stays in the pool and the panic hook reports the panic.
     pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
         if self.shared.jobs.push(Box::new(job)).is_err() {
@@ -101,7 +106,8 @@ impl ThreadPool {
         self.shared.pending.load(Ordering::Acquire)
     }
 
-    /// Block until every submitted job has finished.
+    /// Block until every submitted job has finished, by returning or by
+    /// panicking.
     ///
     /// Condvar-based: the waiter parks on the pool's idle condition
     /// variable and is woken by the worker that completes the last pending
@@ -252,6 +258,39 @@ mod tests {
         pool.execute(move || signal.send(()).unwrap());
         assert!(outcome.recv().unwrap(), "the second job never ran");
         pool.wait_idle();
+    }
+
+    /// A job that panics still finishes: `wait_idle` returns, both
+    /// counters read 0, and the one worker goes on to the next job.
+    #[test]
+    fn a_panicking_job_still_finishes() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let pool = Arc::new(ThreadPool::new(1));
+        let ran = Arc::new(AtomicU64::new(0));
+        pool.execute(|| panic!("job panics on purpose"));
+        let r = Arc::clone(&ran);
+        pool.execute(move || {
+            r.fetch_add(1, Ordering::Relaxed);
+        });
+        let (idle, idled) = mpsc::channel();
+        let pool_ref = Arc::clone(&pool);
+        let waiter = std::thread::spawn(move || {
+            pool_ref.wait_idle();
+            idle.send(()).unwrap();
+        });
+        assert!(
+            idled.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "wait_idle still blocked after a panicking job"
+        );
+        waiter.join().unwrap();
+        assert_eq!(pool.pending(), 0);
+        assert_eq!(pool.usage().active(), 0);
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            1,
+            "the job after the panic never ran"
+        );
     }
 
     #[test]

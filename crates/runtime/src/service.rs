@@ -56,7 +56,7 @@
 //!   uninterrupted run would have emitted.
 
 use crate::sync::Fifo;
-use dpd_core::pipeline::{BuildError, DpdBuilder, DpdEvent, EventSink, ServiceSpec};
+use dpd_core::pipeline::{BuildError, DpdBuilder, ServiceSpec};
 use dpd_core::query::{QueryDelta, QuerySpec};
 use dpd_core::shard::{shard_of, MultiStreamEvent, StreamId, StreamTable, TableStats};
 use dpd_core::snapshot::{
@@ -602,7 +602,7 @@ pub struct MultiStreamDpd {
 }
 
 impl MultiStreamDpd {
-    /// Start a service straight from the unified builder (the builder
+    /// Start a service straight from the [`DpdBuilder`] (the builder
     /// becomes the per-stream detector factory each shard clones).
     /// Requires [`DpdBuilder::shards`]; `shards(0)` selects the
     /// deterministic inline mode.
@@ -820,19 +820,6 @@ impl MultiStreamDpd {
     pub fn drain_query_deltas(&mut self) -> Vec<QueryDelta> {
         self.pump();
         std::mem::take(&mut self.pending_deltas)
-    }
-
-    /// Drain every event published so far into a unified-pipeline
-    /// [`EventSink`] (translated to [`DpdEvent`]s), returning the number of
-    /// events delivered. The service-side analogue of the single-stream
-    /// pipeline's event stream. Non-blocking.
-    pub fn drain_into<S: EventSink>(&mut self, sink: &mut S) -> usize {
-        let events = self.drain();
-        for e in &events {
-            let (stream, event) = DpdEvent::from_multi_stream(e);
-            sink.on_event(stream, &event);
-        }
-        events.len()
     }
 
     /// Point-in-time per-shard rollups (lock-free reads; inline mode

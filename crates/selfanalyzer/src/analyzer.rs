@@ -277,7 +277,7 @@ impl SelfAnalyzer {
             .expect("invalid DPD window")
     }
 
-    /// Analyzer over an explicit detector builder — the unified pipeline
+    /// Analyzer over an explicit detector builder — the one detector
     /// entry point ([`DpdBuilder`]) carried through to the paper's
     /// SelfAnalyzer integration (Fig. 6).
     pub fn from_builder(

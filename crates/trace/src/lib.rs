@@ -23,7 +23,6 @@
 //!   checkpoint frames, epoch markers) with torn-tail recovery; the
 //!   durability substrate of the multi-stream service (see
 //!   `docs/FORMAT.md` §9).
-//! * [`stats`] — summary statistics used when reporting experiments.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -35,7 +34,6 @@ pub mod io;
 pub mod pile;
 pub mod quantize;
 pub mod sampled;
-pub mod stats;
 
 pub use event::EventTrace;
 pub use sampled::SampledTrace;

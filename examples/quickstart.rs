@@ -4,7 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use dpd::core::pipeline::{Detector, DpdBuilder, DpdEvent};
+use dpd::core::pipeline::DpdBuilder;
 use dpd::core::segmentation::segment_events;
 use dpd::core::streaming::SegmentEvent;
 
@@ -14,24 +14,16 @@ fn main() {
     let addrs = [0x400000i64, 0x400040, 0x400080, 0x4000c0];
     let stream: Vec<i64> = (0..240).map(|i| addrs[i % 4]).collect();
 
-    // 1. The unified pipeline: one builder, one event stream (the paper's
-    //    Table 1 return value becomes sink traffic).
-    println!("== DPD pipeline ==");
-    let mut first = None;
-    let mut pipe = DpdBuilder::new()
-        .window(16)
-        .build(|_, e: &DpdEvent| {
-            if let DpdEvent::Segment(SegmentEvent::PeriodStart { period, position }) = e {
-                if first.is_none() {
-                    first = Some(*position);
-                    println!("first period start at sample {position}, periodicity {period}");
-                }
-            }
-        })
-        .unwrap();
-    pipe.push_slice(&stream);
-    drop(pipe);
-    assert!(first.is_some(), "period-4 stream must segment");
+    // 1. Detection: the builder's event-stream detector reports through
+    //    its push return value, like the paper's Table 1 interface.
+    println!("== DPD detector ==");
+    let mut dpd = DpdBuilder::new().window(16).build_detector().unwrap();
+    let first = dpd.push_slice(&stream).into_iter().find_map(|e| match e {
+        SegmentEvent::PeriodStart { period, position } => Some((period, position)),
+        _ => None,
+    });
+    let (period, position) = first.expect("period-4 stream must segment");
+    println!("first period start at sample {position}, periodicity {period}");
 
     // 2. Segmentation (paper §1, application 1).
     println!();

@@ -26,23 +26,21 @@
 //! ## Quick start
 //!
 //! Every detector stack is assembled by one typed entry point,
-//! [`core::pipeline::DpdBuilder`], and reports through one event stream
-//! ([`core::pipeline::EventSink`] receiving [`core::pipeline::DpdEvent`]s):
+//! [`core::pipeline::DpdBuilder`]; each finisher returns its own stack,
+//! and `push`/`push_slice` return what the stack observed:
 //!
 //! ```
-//! use dpd::core::pipeline::{Detector, DpdBuilder, DpdEvent};
+//! use dpd::core::pipeline::DpdBuilder;
 //! use dpd::core::streaming::SegmentEvent;
 //!
-//! // A period-3 loop-address stream through the unified pipeline.
-//! let mut pipe = DpdBuilder::new().window(16).build(Vec::new()).unwrap();
-//! for i in 0..100 {
-//!     pipe.push([0x400000i64, 0x400040, 0x400080][i % 3]);
-//! }
-//! let detections: Vec<usize> = pipe
-//!     .into_sink()
+//! // A period-3 loop-address stream through the event-stream detector.
+//! let mut dpd = DpdBuilder::new().window(16).build_detector().unwrap();
+//! let stream: Vec<i64> = (0..100).map(|i| [0x400000, 0x400040, 0x400080][i % 3]).collect();
+//! let detections: Vec<usize> = dpd
+//!     .push_slice(&stream)
 //!     .iter()
-//!     .filter_map(|(_, e)| match e {
-//!         DpdEvent::Segment(SegmentEvent::PeriodStart { period, .. }) => Some(*period),
+//!     .filter_map(|e| match e {
+//!         SegmentEvent::PeriodStart { period, .. } => Some(*period),
 //!         _ => None,
 //!     })
 //!     .collect();
@@ -78,3 +76,9 @@ pub use dpd_trace as trace;
 pub use par_runtime as runtime;
 pub use selfanalyzer as analyzer;
 pub use spec_apps as apps;
+
+/// The README's Rust example, compiled and run as a doctest so it cannot
+/// drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -31,18 +31,15 @@ mod exists {
     }
     mod core_top_level {
         pub use dpd::core::{
-            BuildError, Detector, Dpd, DpdBuilder, DpdError, DpdEvent, EventMetric, EventSink,
-            Forecast, ForecastStats, ForecastingDpd, FrameDetector, L1Metric, Metric,
-            MultiScaleDpd, MultiStreamEvent, PeriodicityReport, PredictConfig, Predictor, Restore,
-            Result, SegmentEvent, Snapshot, SnapshotError, Spectrum, StreamHandle, StreamId,
-            StreamSummary, StreamTable, StreamTier, StreamingConfig, StreamingDpd, TableConfig,
+            BuildError, Dpd, DpdBuilder, DpdError, EventMetric, Forecast, ForecastStats,
+            ForecastingDpd, FrameDetector, L1Metric, Metric, MultiScaleDpd, MultiStreamEvent,
+            PeriodicityReport, PredictConfig, Predictor, Restore, Result, SegmentEvent, Snapshot,
+            SnapshotError, Spectrum, StreamHandle, StreamId, StreamSummary, StreamTable,
+            StreamTier, StreamingConfig, StreamingDpd, TableConfig,
         };
     }
     mod pipeline_items {
-        pub use dpd::core::pipeline::{
-            BuildError, Detector, DpdBuilder, DpdEvent, DpdPipeline, EventSink, ServiceSpec,
-            DEFAULT_SCALES,
-        };
+        pub use dpd::core::pipeline::{BuildError, DpdBuilder, ServiceSpec, DEFAULT_SCALES};
     }
     mod shard_items {
         pub use dpd::core::shard::{
@@ -109,13 +106,10 @@ const SURFACE: &[&str] = &[
     "dpd::apps",
     "dpd::core",
     "dpd::core::BuildError",
-    "dpd::core::Detector",
     "dpd::core::Dpd",
     "dpd::core::DpdBuilder",
     "dpd::core::DpdError",
-    "dpd::core::DpdEvent",
     "dpd::core::EventMetric",
-    "dpd::core::EventSink",
     "dpd::core::Forecast",
     "dpd::core::ForecastStats",
     "dpd::core::ForecastingDpd",
@@ -156,11 +150,7 @@ const SURFACE: &[&str] = &[
     "dpd::core::pipeline",
     "dpd::core::pipeline::BuildError",
     "dpd::core::pipeline::DEFAULT_SCALES",
-    "dpd::core::pipeline::Detector",
     "dpd::core::pipeline::DpdBuilder",
-    "dpd::core::pipeline::DpdEvent",
-    "dpd::core::pipeline::DpdPipeline",
-    "dpd::core::pipeline::EventSink",
     "dpd::core::pipeline::ServiceSpec",
     "dpd::core::predict",
     "dpd::core::predict::Observation",

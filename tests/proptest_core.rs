@@ -437,25 +437,6 @@ proptest! {
         prop_assert_eq!(w.pushed(), data.len() as u64);
     }
 
-    /// MirroredHistory::resize never loses the most recent samples that
-    /// fit.
-    #[test]
-    fn mirrored_history_resize_preserves_newest(
-        data in proptest::collection::vec(any::<i64>(), 1..100),
-        cap_a in 1usize..24,
-        cap_b in 1usize..24,
-    ) {
-        let mut w = dpd::core::window::MirroredHistory::new(cap_a);
-        for &v in &data {
-            w.push(v);
-        }
-        let before = w.to_vec();
-        w.resize(cap_b);
-        let keep = before.len().min(cap_b);
-        prop_assert_eq!(w.to_vec(), before[before.len() - keep..].to_vec());
-        prop_assert_eq!(w.pushed(), data.len() as u64);
-    }
-
     /// Segmentation invariant on arbitrary periodic-with-phase-changes
     /// streams: segments never overlap and appear in stream order.
     #[test]

@@ -1,19 +1,20 @@
-//! Differential property tests: the unified `DpdBuilder` pipeline (or the
-//! Table 1 interface, or the inline multi-stream service) and the raw stack
-//! the same options build report bit-identical behaviour.
+//! Differential property tests: finishers of one `DpdBuilder` agree with
+//! each other.
 //!
 //! For random segmented traces (phase changes included) and random
-//! configurations, each pair below must agree **byte for byte**: the full
+//! configurations, each pair below must agree **byte for byte**: the
 //! event sequences (compared structurally — every payload is integral),
 //! the running statistics, and the forecast `f64` accumulators (compared
 //! via `to_bits`, so even the floating-point operation *order* must
-//! match). This is the proof that the one event stream of
-//! [`DpdEvent`]s is a faithful view of every stack, not a reinterpretation.
+//! match). The pairs are a keyed table's stream and the single-stream
+//! detector or forecaster, a multi-scale bank and one detector per
+//! window, the Table 1 interface and the raw detector, and the raw keyed
+//! table and the inline multi-stream service.
 
-use dpd::core::pipeline::{Detector, DpdBuilder, DpdEvent};
-use dpd::core::predict::ForecastStats;
-use dpd::core::shard::StreamId;
-use dpd::core::streaming::{SegmentEvent, StreamStats};
+use dpd::core::pipeline::DpdBuilder;
+use dpd::core::predict::{Forecast, ForecastStats};
+use dpd::core::shard::{MultiStreamEvent, StreamId};
+use dpd::core::streaming::SegmentEvent;
 use dpd::runtime::service::MultiStreamDpd;
 use proptest::collection;
 use proptest::prelude::*;
@@ -53,108 +54,80 @@ fn assert_forecast_stats_bit_identical(a: ForecastStats, b: ForecastStats, ctx: 
     );
 }
 
-fn assert_stream_stats_equal(a: &StreamStats, b: &StreamStats, ctx: &str) {
-    assert_eq!(a, b, "{ctx}: detector stats");
-}
-
-/// Raw `build_detector` vs `build(sink)`: same events on the unified
-/// stream, same stats, same lock.
-fn check_streaming(data: &[i64], window: usize) {
-    let mut raw = DpdBuilder::new().window(window).build_detector().unwrap();
-    let mut raw_events = Vec::new();
-    for &s in data {
-        let e = raw.push(s);
-        if e != SegmentEvent::None {
-            raw_events.push((StreamId(0), DpdEvent::Segment(e)));
-        }
-    }
-
-    let mut pipe = DpdBuilder::new().window(window).build(Vec::new()).unwrap();
-    pipe.push_slice(data);
-    assert_eq!(pipe.sink(), &raw_events, "streaming window={window}");
-    assert_stream_stats_equal(
-        pipe.streaming().unwrap().stats(),
-        raw.stats(),
-        &format!("streaming window={window}"),
+/// `build_table` vs `build_detector`: one stream of a keyed table reports
+/// exactly the single-stream detector's events and statistics.
+fn check_table_stream(data: &[i64], window: usize) {
+    let builder = DpdBuilder::new().window(window);
+    let mut dpd = builder.build_detector().unwrap();
+    let expected: Vec<MultiStreamEvent> = dpd
+        .push_slice(data)
+        .into_iter()
+        .map(|event| MultiStreamEvent::Segment {
+            stream: StreamId(0),
+            event,
+        })
+        .collect();
+    let mut table = builder.build_table().unwrap();
+    let mut events = Vec::new();
+    table.ingest(0, StreamId(0), data, &mut events);
+    assert_eq!(events, expected, "table window={window}");
+    assert_eq!(
+        table.stream_stats(StreamId(0)),
+        Some(dpd.stats()),
+        "table window={window}: detector stats"
     );
-    assert_eq!(pipe.locked_period(), raw.locked_period());
 }
 
-/// Raw `build_multi_scale` bank vs `DpdBuilder::scales(..).build(sink)`.
+/// `build_multi_scale` vs one `build_detector` per window: every scale of
+/// the bank reports exactly its window's single detector, sample by
+/// sample.
 fn check_multi_scale(data: &[i64], scales: &[usize]) {
-    let mut raw = DpdBuilder::new()
+    let mut bank = DpdBuilder::new()
         .scales(scales)
         .build_multi_scale()
         .unwrap();
-    let mut raw_events = Vec::new();
+    let mut singles: Vec<_> = scales
+        .iter()
+        .map(|&w| DpdBuilder::new().window(w).build_detector().unwrap())
+        .collect();
     for &s in data {
-        for (window, event) in raw.push(s).events {
-            raw_events.push((StreamId(0), DpdEvent::Scale { window, event }));
-        }
+        let expected: Vec<(usize, SegmentEvent)> = singles
+            .iter_mut()
+            .filter_map(|d| match d.push(s) {
+                SegmentEvent::None => None,
+                e => Some((d.window(), e)),
+            })
+            .collect();
+        assert_eq!(bank.push(s).events, expected, "scales={scales:?}");
     }
-
-    let mut pipe = DpdBuilder::new().scales(scales).build(Vec::new()).unwrap();
-    pipe.push_slice(data);
-    assert_eq!(pipe.sink(), &raw_events, "scales={scales:?}");
-    assert_eq!(pipe.detected_periods(), raw.detected_periods());
+    for (scale, single) in bank.scales().iter().zip(&singles) {
+        assert_eq!(scale.stats(), single.stats(), "scales={scales:?}: stats");
+    }
 }
 
-/// Raw `build_forecasting` bundle vs the builder's forecasting pipeline:
-/// segment/scored/invalidated events and the bit-exact forecast stats.
+/// `build_table` with a horizon vs `build_forecasting`: one stream of a
+/// forecasting table scores and forecasts exactly like the single-stream
+/// forecaster.
 fn check_forecasting(data: &[i64], window: usize, horizon: usize) {
     let builder = DpdBuilder::new().window(window).forecast(horizon);
-    let mut raw = builder.build_forecasting().unwrap();
-    let mut raw_events: Vec<(StreamId, DpdEvent)> = Vec::new();
+    let mut f = builder.build_forecasting().unwrap();
     for &s in data {
-        let (e, ob) = raw.push(s);
-        if e != SegmentEvent::None {
-            raw_events.push((StreamId(0), DpdEvent::Segment(e)));
-        }
-        if ob.invalidated {
-            raw_events.push((
-                StreamId(0),
-                DpdEvent::ForecastInvalidated {
-                    dropped: ob.dropped,
-                },
-            ));
-        }
-        if let Some(sc) = ob.scored {
-            raw_events.push((
-                StreamId(0),
-                DpdEvent::ForecastScored {
-                    predicted: sc.predicted,
-                    actual: sc.actual,
-                    hit: sc.hit,
-                },
-            ));
-        }
-        if let Some((position, value)) = ob.issued {
-            assert_eq!(
-                raw.predictor().last_issued(),
-                Some((position, value)),
-                "issued observation disagrees with pending tail"
-            );
-            raw_events.push((StreamId(0), DpdEvent::ForecastIssued { position, value }));
-        }
+        f.push(s);
     }
-
-    let mut pipe = builder.build(Vec::new()).unwrap();
-    pipe.push_slice(data);
+    let mut table = builder.build_table().unwrap();
+    table.ingest(0, StreamId(0), data, &mut Vec::new());
     let ctx = format!("forecasting window={window} horizon={horizon}");
-    assert_eq!(pipe.sink(), &raw_events, "{ctx}");
     assert_forecast_stats_bit_identical(
-        pipe.forecasting().unwrap().predictor().stats(),
-        raw.predictor().stats(),
+        table.forecast_stats(StreamId(0)).unwrap(),
+        f.predictor().stats(),
         &ctx,
     );
-    // The materialized forecast slices agree too.
-    let raw_fc = raw
-        .forecast(horizon)
-        .map(|f| (f.period, f.predicted.to_vec(), f.confidence.to_bits()));
-    let pipe_fc = pipe
-        .forecast(horizon)
-        .map(|f| (f.period, f.predicted.to_vec(), f.confidence.to_bits()));
-    assert_eq!(pipe_fc, raw_fc, "{ctx}: forecast slice");
+    let slice = |fc: Forecast| (fc.period, fc.predicted.to_vec(), fc.confidence.to_bits());
+    assert_eq!(
+        table.forecast(StreamId(0), horizon).map(slice),
+        f.forecast(horizon).map(slice),
+        "{ctx}: forecast slice"
+    );
 }
 
 /// Table 1 `build_capi` vs the raw `build_detector`: `dpd` returns
@@ -255,79 +228,19 @@ fn check_keyed_tiered(
     );
 }
 
-/// `MultiStreamDpd::drain_into` delivers exactly `drain()`'s events,
-/// translated through the one unified vocabulary.
-#[test]
-fn service_drain_into_matches_drain() {
-    let schedule = schedule_from_words(&[3, 99, 0x50_0007, 0xAB_CDEF, 42], 3);
-    let run = |collect: bool| {
-        let mut svc = MultiStreamDpd::from_builder(&DpdBuilder::new().window(8).shards(0)).unwrap();
-        for (stream, samples) in &schedule {
-            svc.ingest(&[(StreamId(*stream), samples.as_slice())]);
-        }
-        svc.flush();
-        if collect {
-            let mut sink: Vec<(StreamId, DpdEvent)> = Vec::new();
-            svc.drain_into(&mut sink);
-            sink
-        } else {
-            svc.drain()
-                .iter()
-                .map(DpdEvent::from_multi_stream)
-                .collect()
-        }
-    };
-    let a = run(true);
-    let b = run(false);
-    assert_eq!(a, b);
-    assert!(!a.is_empty());
-}
-
-/// A closure sink observes the same events a `Vec` sink collects.
-#[test]
-fn closure_sink_sees_vec_sink_events() {
-    let data = trace_from_words(&[7, 0x30_0042, 19]);
-    let mut collected = Vec::new();
-    {
-        let sink = |s: StreamId, e: &DpdEvent| collected.push((s, *e));
-        let mut pipe = DpdBuilder::new().window(8).forecast(2).build(sink).unwrap();
-        pipe.push_slice(&data);
-    }
-    let mut reference = DpdBuilder::new()
-        .window(8)
-        .forecast(2)
-        .build(Vec::new())
-        .unwrap();
-    reference.push_slice(&data);
-    assert_eq!(&collected, reference.sink());
-    assert!(!collected.is_empty());
-}
-
-/// The `EventSink` impl for `()` discards without disturbing the stack.
-#[test]
-fn unit_sink_keeps_stack_behavior() {
-    let data = trace_from_words(&[5, 0x20_0031]);
-    let mut silent = DpdBuilder::new().window(8).build(()).unwrap();
-    silent.push_slice(&data);
-    let mut loud = DpdBuilder::new().window(8).build(Vec::new()).unwrap();
-    loud.push_slice(&data);
-    assert_eq!(silent.detected_periods(), loud.detected_periods());
-    assert_eq!(silent.locked_period(), loud.locked_period());
-}
-
 proptest! {
-    /// Plain streaming stack: raw detector vs pipeline, random traces
-    /// and windows.
+    /// A keyed table's stream vs the single-stream detector, random
+    /// traces and windows.
     #[test]
     fn streaming_builder_bit_identical(
         words in collection::vec(any::<u64>(), 1..6),
         window_pow in 0u32..7,
     ) {
         let data = trace_from_words(&words);
-        check_streaming(&data, 1usize << window_pow);
+        check_table_stream(&data, 1usize << window_pow);
     }
 
-    /// Multi-scale stack: raw bank vs builder pipeline.
+    /// Multi-scale bank vs one detector per window.
     #[test]
     fn multi_scale_builder_bit_identical(
         words in collection::vec(any::<u64>(), 1..6),
@@ -338,8 +251,8 @@ proptest! {
         check_multi_scale(&data, &[small, large]);
     }
 
-    /// Forecasting stack: raw bundle vs builder pipeline, incl. bit-exact
-    /// f64 accumulators and forecast slices.
+    /// A forecasting table's stream vs the single-stream forecaster,
+    /// incl. bit-exact f64 accumulators and forecast slices.
     #[test]
     fn forecasting_builder_bit_identical(
         words in collection::vec(any::<u64>(), 1..6),

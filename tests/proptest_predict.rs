@@ -200,9 +200,21 @@ fn run_differential(data: &[i64], config: StreamingConfig, horizon: usize, chunk
         "window={} horizon={horizon} chunk={chunk} resync={}",
         config.window, config.resync_interval
     );
+    // Observations the incremental path hands back, counted against its
+    // own statistics at the end.
+    let (mut issued, mut scored) = (0u64, 0u64);
     for (c, samples) in data.chunks(chunk.max(1)).enumerate() {
         for &s in samples {
-            incremental.push(s);
+            let (_, ob) = incremental.push(s);
+            if let Some(issue) = ob.issued {
+                assert_eq!(
+                    incremental.predictor().last_issued(),
+                    Some(issue),
+                    "{ctx}: issued observation disagrees with the pending tail"
+                );
+                issued += 1;
+            }
+            scored += u64::from(ob.scored.is_some());
             let event = detector.push(s);
             naive.observe(s, event);
         }
@@ -223,7 +235,13 @@ fn run_differential(data: &[i64], config: StreamingConfig, horizon: usize, chunk
             assert_eq!(got, expect, "{ctx}: forecast({h}) after chunk {c}");
         }
     }
-    assert_stats_bit_identical(incremental.predictor().stats(), naive.stats, &ctx);
+    let stats = incremental.predictor().stats();
+    assert_eq!(
+        (issued, scored),
+        (stats.issued, stats.checked),
+        "{ctx}: issued and scored observations vs stats"
+    );
+    assert_stats_bit_identical(stats, naive.stats, &ctx);
 }
 
 #[test]
