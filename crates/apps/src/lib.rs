@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates the DPD on five hand-parallelized SPECfp95
 //! applications (§6.1) plus the NAS FT benchmark (§3.2). We do not ship the
-//! SPEC sources; instead each application is re-created as a synthetic
-//! workload with real (small) numeric kernels and — crucially — the **exact
+//! SPEC sources; instead each application is re-created as a cost model:
+//! per-loop work on the virtual-time machine, issued in the **exact
 //! iterative loop-call structure** the paper reports in Table 2:
 //!
 //! | app      | stream length | periodicities |
@@ -28,9 +28,6 @@ pub mod app;
 pub mod apsi;
 pub mod ft;
 pub mod hydro2d;
-pub mod kernels;
-pub mod live;
-pub mod numerics;
 pub mod swim;
 pub mod tomcatv;
 pub mod turb3d;

@@ -1,15 +1,11 @@
-//! Substrate benchmarks: virtual machine throughput and the real
-//! thread-pool / parallel-loop layer.
+//! Substrate benchmarks: virtual machine throughput.
 //!
-//! The virtual machine must be cheap enough that driving 53k loop calls
-//! (hydro2d) costs milliseconds; the real pool numbers document what the
-//! host actually provides (this box may have a single core — the virtual
-//! machine is what makes the speedup experiments host-independent).
+//! The virtual machine is the one execution substrate, so it must be
+//! cheap enough that driving 53k loop calls (hydro2d) costs milliseconds;
+//! it is also what makes the speedup experiments host-independent.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use par_runtime::loops::{parallel_sum, Schedule};
 use par_runtime::machine::{LoopSpec, Machine, MachineConfig};
-use par_runtime::pool::ThreadPool;
 use std::hint::black_box;
 
 fn bench_machine_run_loop(c: &mut Criterion) {
@@ -46,66 +42,5 @@ fn bench_machine_sampling(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel_for_schedules(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pool/parallel_sum");
-    g.sample_size(20);
-    let n = 1_000_000u64;
-    g.throughput(Throughput::Elements(n));
-    let threads = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
-    g.bench_function(format!("threads_{threads}"), |b| {
-        b.iter(|| parallel_sum(threads, 0..n, |i| (i as f64).sqrt()))
-    });
-    g.bench_function("sequential_reference", |b| {
-        b.iter(|| parallel_sum(1, 0..n, |i| (i as f64).sqrt()))
-    });
-    g.finish();
-}
-
-fn bench_pool_job_dispatch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pool/job_dispatch");
-    g.sample_size(20);
-    let pool = ThreadPool::new(2);
-    g.bench_function("1000_empty_jobs", |b| {
-        b.iter(|| {
-            for _ in 0..1000 {
-                pool.execute(|| {});
-            }
-            pool.wait_idle();
-        })
-    });
-    g.finish();
-}
-
-fn bench_schedules_cover(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pool/schedules");
-    g.sample_size(15);
-    let n = 100_000u64;
-    for (name, sched) in [
-        ("static", Schedule::Static),
-        ("dynamic64", Schedule::Dynamic { chunk: 64 }),
-        ("guided8", Schedule::Guided { min_chunk: 8 }),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let acc = std::sync::atomic::AtomicU64::new(0);
-                par_runtime::loops::parallel_for(2, 0..n, sched, None, |i| {
-                    acc.fetch_add(i & 1, std::sync::atomic::Ordering::Relaxed);
-                });
-                acc.into_inner()
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_machine_run_loop,
-    bench_machine_sampling,
-    bench_parallel_for_schedules,
-    bench_pool_job_dispatch,
-    bench_schedules_cover
-);
+criterion_group!(benches, bench_machine_run_loop, bench_machine_sampling);
 criterion_main!(benches);

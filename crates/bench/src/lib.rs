@@ -15,7 +15,7 @@
 //! | bench `streaming`      | per-sample DPD cost (Table 3 ablation) |
 //! | bench `apps`           | full-trace detection per application |
 //! | bench `window_sweep`   | window-size ablation N ∈ {16..1024} |
-//! | bench `machine`        | virtual machine + thread-pool substrate |
+//! | bench `machine`        | virtual-time machine substrate |
 //! | bench `multistream`    | sharded service end-to-end throughput |
 //! | bench `trace_io`       | text vs DTB parse/replay throughput |
 //! | bench `predict`        | forecasting overhead (push, slice, table) |

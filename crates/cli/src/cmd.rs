@@ -11,7 +11,7 @@ use dpd_core::segmentation::Segmenter;
 use dpd_core::shard::{MultiStreamEvent, StreamId};
 use dpd_trace::io::TraceFormat;
 use dpd_trace::pile::{EpochMarker, PileFrame, PileWriter};
-use dpd_trace::{dtb, gen, io, EventTrace, SampledTrace};
+use dpd_trace::{dtb, gen, io, EventTrace};
 use par_runtime::service::MultiStreamDpd;
 use spec_apps::app::RunConfig;
 use std::fmt::Write as _;
@@ -249,51 +249,6 @@ fn apps(flags: &Flags) -> Result<String, String> {
     ))
 }
 
-/// Streams of a DTB container with their original ids, one list per kind.
-type DtbStreams = (Vec<(u64, EventTrace)>, Vec<(u64, SampledTrace)>);
-
-/// Decode every stream of a DTB container, keeping original stream ids
-/// (declaration order preserved).
-pub(crate) fn read_dtb_streams(bytes: &[u8]) -> Result<DtbStreams, dtb::DtbError> {
-    let mut reader = dtb::DtbReader::new(bytes)?;
-    let mut events: Vec<(u64, EventTrace)> = Vec::new();
-    let mut sampled: Vec<(u64, SampledTrace)> = Vec::new();
-    while let Some(block) = reader.next_block() {
-        match block? {
-            dtb::Block::Decl { stream, meta } => match meta.kind {
-                dtb::StreamKind::Events => {
-                    if !events.iter().any(|(id, _)| *id == stream) {
-                        events.push((stream, EventTrace::new(meta.name.clone())));
-                    }
-                }
-                dtb::StreamKind::Sampled => {
-                    if !sampled.iter().any(|(id, _)| *id == stream) {
-                        sampled.push((
-                            stream,
-                            SampledTrace::new(meta.name.clone(), meta.sample_period_ns),
-                        ));
-                    }
-                }
-            },
-            dtb::Block::Events { stream, values } => {
-                let (_, t) = events
-                    .iter_mut()
-                    .find(|(id, _)| *id == stream)
-                    .expect("decl enforced by the reader");
-                t.values.extend_from_slice(values);
-            }
-            dtb::Block::Samples { stream, values } => {
-                let (_, t) = sampled
-                    .iter_mut()
-                    .find(|(id, _)| *id == stream)
-                    .expect("decl enforced by the reader");
-                t.values.extend_from_slice(values);
-            }
-        }
-    }
-    Ok((events, sampled))
-}
-
 /// `dpd convert IN --out OUT [--to text|dtb]`: transcode a trace file
 /// between the text format and the DTB binary container. The input format
 /// is auto-detected; `--to` defaults to the *other* format. DTB stream ids
@@ -318,8 +273,8 @@ fn convert(flags: &Flags) -> Result<String, String> {
     };
 
     // Decode every stream the input holds, keeping stream ids.
-    let (events, sampled): DtbStreams = match from {
-        TraceFormat::Dtb => read_dtb_streams(&bytes).map_err(|e| format!("{path}: {e}"))?,
+    let (events, sampled): dtb::DtbStreams = match from {
+        TraceFormat::Dtb => dtb::read_all(&bytes).map_err(|e| format!("{path}: {e}"))?,
         TraceFormat::Text => match io::read_events(&bytes[..]) {
             Ok(t) => (vec![(0, t)], Vec::new()),
             Err(io::TraceIoError::WrongKind { .. }) => {
@@ -472,7 +427,7 @@ fn read_event_streams(path: &std::path::Path) -> Result<(Vec<EventTrace>, usize)
                     path.display()
                 ));
             }
-            Ok((events, sampled.len()))
+            Ok((events.into_iter().map(|(_, t)| t).collect(), sampled.len()))
         }
         _ => {
             let trace =

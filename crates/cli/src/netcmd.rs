@@ -672,8 +672,7 @@ pub fn loadgen(flags: &Flags) -> Result<String, String> {
     let addr = resolve_addr(flags)?;
 
     let bytes = std::fs::read(corpus).map_err(|e| format!("read {corpus}: {e}"))?;
-    let (events, sampled) =
-        crate::cmd::read_dtb_streams(&bytes).map_err(|e| format!("{corpus}: {e}"))?;
+    let (events, sampled) = dtb::read_all(&bytes).map_err(|e| format!("{corpus}: {e}"))?;
     if events.is_empty() {
         return Err(format!("{corpus}: container holds no event stream"));
     }

@@ -28,8 +28,8 @@
 //! * [`streaming::MultiScaleDpd`] — a bank of detectors at several window
 //!   sizes that finds nested iterative structures (hydro2d/turb3d in the
 //!   paper's Table 2),
-//! * [`segmentation::Segmenter`] — the stream cut into whole periods
-//!   (paper §1, application 1; Fig. 7),
+//! * [`segmentation::Segmenter`] — the stream cut into one segment per
+//!   lock, counted in period starts (paper §1, application 1; Fig. 7),
 //! * [`predict::Predictor`] / [`predict::ForecastingDpd`] — prediction of
 //!   future stream values from the detected period (paper §1,
 //!   application 3): allocation-free per-stream forecasts with confidence

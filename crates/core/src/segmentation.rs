@@ -14,11 +14,15 @@ use crate::streaming::SegmentEvent;
 pub struct Segment {
     /// Position of the first sample of the segment (a period start).
     pub start: u64,
-    /// Position one past the last sample known to belong to the segment.
+    /// The last period start plus one period, so the final period may run
+    /// past the last sample of the stream; a lock loss cuts it at the loss
+    /// position.
     pub end: u64,
     /// Period length in samples.
     pub period: usize,
-    /// Number of complete periods observed inside the segment.
+    /// Number of period starts inside the segment. Every period but the
+    /// last is whole; the last may run past the stream or be cut by a lock
+    /// loss.
     pub periods: u64,
 }
 
@@ -28,7 +32,7 @@ impl Segment {
         self.end - self.start
     }
 
-    /// `true` when the segment contains no complete period.
+    /// `true` when the segment holds no period start.
     pub fn is_empty(&self) -> bool {
         self.periods == 0
     }

@@ -68,15 +68,7 @@ impl Interposer {
     /// Intercept a call to `addr` at time `t_ns`: fire pre-call hooks, run
     /// `body`, fire post-call hooks, and return the body's value.
     pub fn intercept<R>(&mut self, addr: FnAddr, t_ns: u64, body: impl FnOnce() -> R) -> R {
-        self.intercepted += 1;
-        for obs in &mut self.observers {
-            obs.on_call(addr, t_ns);
-        }
-        let result = body();
-        for obs in &mut self.observers {
-            obs.on_return(addr, t_ns);
-        }
-        result
+        self.intercept_timed(addr, t_ns, || (body(), t_ns))
     }
 
     /// Intercept a call where the body also needs to report its completion

@@ -253,9 +253,15 @@ mod tests {
         let data = std::fs::read(&path).unwrap();
         let (events, _) = dtb::read_all(&data).unwrap();
         assert_eq!(events.len(), 2);
-        let s0 = events.iter().find(|t| t.name.ends_with("shard-0")).unwrap();
+        let (_, s0) = events
+            .iter()
+            .find(|(_, t)| t.name.ends_with("shard-0"))
+            .unwrap();
         assert_eq!(s0.values, pattern);
-        let s1 = events.iter().find(|t| t.name.ends_with("shard-1")).unwrap();
+        let (_, s1) = events
+            .iter()
+            .find(|(_, t)| t.name.ends_with("shard-1"))
+            .unwrap();
         assert_eq!(s1.values, vec![log2_bucket(1000)]);
         std::fs::remove_dir_all(&dir).ok();
     }

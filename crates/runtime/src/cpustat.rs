@@ -1,72 +1,10 @@
-//! Instantaneous active-CPU accounting.
+//! Active-CPU accounting over virtual time.
 //!
 //! The paper's Figure 3 plots "the instantaneous number of active CPUs used
-//! by a parallel application" sampled every 1 ms. Two sources exist here:
-//!
-//! * [`CpuUsage`] — a live atomic counter incremented/decremented by the
-//!   real thread pool as workers pick up and finish work;
-//! * [`CpuTimeline`] — a virtual-time step function recorded by the
-//!   simulated machine, sampled at a fixed rate into the Figure 3 trace.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Live count of CPUs currently executing application work.
-#[derive(Debug, Default)]
-pub struct CpuUsage {
-    active: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl CpuUsage {
-    /// New counter at zero.
-    pub fn new() -> Arc<Self> {
-        Arc::new(CpuUsage::default())
-    }
-
-    /// A worker started executing work.
-    pub fn enter(&self) -> usize {
-        let now = self.active.fetch_add(1, Ordering::AcqRel) + 1;
-        self.peak.fetch_max(now, Ordering::AcqRel);
-        now
-    }
-
-    /// A worker finished executing work.
-    pub fn leave(&self) -> usize {
-        let prev = self.active.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "CpuUsage::leave without matching enter");
-        prev - 1
-    }
-
-    /// Instantaneous active count.
-    pub fn active(&self) -> usize {
-        self.active.load(Ordering::Acquire)
-    }
-
-    /// Highest active count observed so far.
-    pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::Acquire)
-    }
-}
-
-/// RAII guard marking one CPU as active for its lifetime.
-pub struct ActiveCpu<'a> {
-    usage: &'a CpuUsage,
-}
-
-impl<'a> ActiveCpu<'a> {
-    /// Mark a CPU active until the guard drops.
-    pub fn enter(usage: &'a CpuUsage) -> Self {
-        usage.enter();
-        ActiveCpu { usage }
-    }
-}
-
-impl Drop for ActiveCpu<'_> {
-    fn drop(&mut self) {
-        self.usage.leave();
-    }
-}
+//! by a parallel application" sampled every 1 ms. [`CpuTimeline`] is that
+//! source here: a step function of the active-CPU count that the simulated
+//! [`crate::Machine`] records as it runs, sampled at a fixed rate into the
+//! Figure 3 trace.
 
 /// A step function of active-CPU count over virtual time.
 #[derive(Debug, Clone, Default)]
@@ -159,29 +97,6 @@ impl CpuTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn usage_enter_leave_peak() {
-        let u = CpuUsage::new();
-        assert_eq!(u.active(), 0);
-        u.enter();
-        u.enter();
-        assert_eq!(u.active(), 2);
-        assert_eq!(u.peak(), 2);
-        u.leave();
-        assert_eq!(u.active(), 1);
-        assert_eq!(u.peak(), 2);
-    }
-
-    #[test]
-    fn raii_guard_balances() {
-        let u = CpuUsage::default();
-        {
-            let _g = ActiveCpu::enter(&u);
-            assert_eq!(u.active(), 1);
-        }
-        assert_eq!(u.active(), 0);
-    }
 
     #[test]
     fn timeline_at_lookups() {

@@ -1023,7 +1023,7 @@ impl Drop for MultiStreamDpd {
 
 /// Spawn the worker thread that drives `core` from its command queue.
 fn spawn_worker(mut core: ShardCore) -> (Arc<Fifo<Cmd>>, JoinHandle<()>) {
-    let queue = Arc::new(Fifo::<Cmd>::new(1));
+    let queue = Arc::new(Fifo::<Cmd>::new());
     let commands = Arc::clone(&queue);
     let worker = std::thread::Builder::new()
         .name(format!("dpd-shard-{}", core.shard))

@@ -1,6 +1,6 @@
 //! The runtime's locking over `std::sync`: [`lock`], which recovers a
-//! poisoned guard, and [`Fifo`], the closeable queue that feeds the shard
-//! workers and the thread pool.
+//! poisoned guard, and [`Fifo`], the closeable queue that feeds each shard
+//! worker.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -12,8 +12,8 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A closeable multi-producer, multi-consumer FIFO: a `Mutex<VecDeque>`
-/// plus one `Condvar` that parks idle consumers.
+/// A closeable multi-producer, single-consumer FIFO: a `Mutex<VecDeque>`
+/// plus one `Condvar` that parks the consumer while the queue is empty.
 ///
 /// Not `std::sync::mpsc`: as the shard command queues, an `mpsc` channel
 /// raised the served wire_hot benchmark's ack p50 from 0.165 to 0.192 ms
@@ -29,25 +29,21 @@ struct Queue<T> {
     items: VecDeque<T>,
     /// Pushes are refused once this is false.
     open: bool,
-    /// Consumers that have not left [`Fifo::consume`] yet.
-    consumers: usize,
 }
 
 impl<T> Fifo<T> {
-    /// An open queue that `consumers` threads will drain with
-    /// [`Fifo::consume`].
-    pub(crate) fn new(consumers: usize) -> Self {
+    /// An open queue that one thread will drain with [`Fifo::consume`].
+    pub(crate) fn new() -> Self {
         Fifo {
             state: Mutex::new(Queue {
                 items: VecDeque::new(),
                 open: true,
-                consumers,
             }),
             ready: Condvar::new(),
         }
     }
 
-    /// Append `item` and wake one consumer; hands `item` back when the
+    /// Append `item` and wake the consumer; hands `item` back when the
     /// queue is closed.
     pub(crate) fn push(&self, item: T) -> Result<(), T> {
         let mut queue = lock(&self.state);
@@ -60,31 +56,28 @@ impl<T> Fifo<T> {
         Ok(())
     }
 
-    /// Refuse further pushes. Consumers still run what is queued, then
-    /// return from [`Fifo::consume`].
+    /// Refuse further pushes. The consumer still runs what is queued,
+    /// then returns from [`Fifo::consume`].
     pub(crate) fn close(&self) {
         lock(&self.state).open = false;
-        self.ready.notify_all();
+        self.ready.notify_one();
     }
 
     /// Run `job` on each item in order until the queue is closed and
-    /// empty. When the last consumer leaves, by a panic in `job` too, the
-    /// queue closes and drops what it still holds: nothing would run it,
-    /// and whoever waits on a dropped item (a barrier's reply channel)
-    /// fails instead of blocking.
+    /// empty. When the consumer leaves, by a panic in `job` too, the queue
+    /// closes and drops what it still holds: nothing would run it, and
+    /// whoever waits on a dropped item (a barrier's reply channel) fails
+    /// instead of blocking.
     pub(crate) fn consume(&self, mut job: impl FnMut(T)) {
         struct Leave<'a, T>(&'a Fifo<T>);
         impl<T> Drop for Leave<'_, T> {
             fn drop(&mut self) {
                 let mut queue = lock(&self.0.state);
-                queue.consumers -= 1;
-                if queue.consumers == 0 {
-                    queue.open = false;
-                    let orphans = std::mem::take(&mut queue.items);
-                    // Unlock first: dropping an item wakes whoever waits on it.
-                    drop(queue);
-                    drop(orphans);
-                }
+                queue.open = false;
+                let orphans = std::mem::take(&mut queue.items);
+                // Unlock first: dropping an item wakes whoever waits on it.
+                drop(queue);
+                drop(orphans);
             }
         }
         let _leave = Leave(self);
@@ -113,7 +106,7 @@ mod tests {
 
     #[test]
     fn items_come_out_in_push_order() {
-        let fifo = Fifo::new(1);
+        let fifo = Fifo::new();
         for i in 0..10 {
             fifo.push(i).unwrap();
         }
@@ -125,24 +118,21 @@ mod tests {
 
     #[test]
     fn close_refuses_pushes_but_lets_consumers_drain() {
-        let fifo = Arc::new(Fifo::new(2));
+        let fifo = Arc::new(Fifo::new());
         for v in 1..=100u64 {
             fifo.push(v).unwrap();
         }
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let fifo = Arc::clone(&fifo);
-                thread::spawn(move || {
-                    let mut sum = 0;
-                    fifo.consume(|v| sum += v);
-                    sum
-                })
+        let consumer = {
+            let fifo = Arc::clone(&fifo);
+            thread::spawn(move || {
+                let mut sum = 0;
+                fifo.consume(|v| sum += v);
+                sum
             })
-            .collect();
+        };
         fifo.close();
         assert_eq!(fifo.push(7), Err(7));
-        let total: u64 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-        assert_eq!(total, 5050);
+        assert_eq!(consumer.join().unwrap(), 5050);
     }
 
     /// A consumer that dies drops what it never ran, so a reply channel
@@ -150,7 +140,7 @@ mod tests {
     /// refused.
     #[test]
     fn a_dead_consumer_drops_its_queue() {
-        let fifo = Arc::new(Fifo::new(1));
+        let fifo = Arc::new(Fifo::new());
         let (reply, replied) = mpsc::channel::<()>();
         fifo.push(None).unwrap();
         fifo.push(Some(reply)).unwrap();
@@ -161,22 +151,5 @@ mod tests {
         assert!(consumer.join().is_err());
         assert_eq!(replied.recv(), Err(mpsc::RecvError));
         assert!(fifo.push(None).is_err());
-    }
-
-    /// The queue stays open while one of two consumers is alive.
-    #[test]
-    fn one_dead_consumer_of_two_leaves_the_queue_open() {
-        let fifo = Arc::new(Fifo::new(2));
-        let dead = {
-            let fifo = Arc::clone(&fifo);
-            thread::spawn(move || fifo.consume(|_: u32| panic!("fatal item")))
-        };
-        fifo.push(0).unwrap();
-        assert!(dead.join().is_err());
-        fifo.push(1).unwrap();
-        fifo.close();
-        let mut seen = Vec::new();
-        fifo.consume(|v| seen.push(v));
-        assert_eq!(seen, [1]);
     }
 }

@@ -151,87 +151,6 @@ pub struct DurationForecast {
     pub cpus: usize,
 }
 
-/// Region bookkeeping of the [`SelfAnalyzer`]: the paper's
-/// `InitParallelRegion(address, length)` plus iteration timing.
-#[derive(Debug, Default)]
-pub struct RegionBook {
-    regions: Vec<RegionInfo>,
-    /// Index into `regions` of the region currently being timed.
-    active: Option<usize>,
-}
-
-impl RegionBook {
-    /// Empty book.
-    pub fn new() -> Self {
-        RegionBook::default()
-    }
-
-    /// Record a DPD period start for `(addr, period)` at time `t_ns` under
-    /// a `cpus`-processor allocation: find or create the region, close the
-    /// previously open iteration, open the next one.
-    pub fn note_period_start(&mut self, addr: i64, period: usize, t_ns: u64, cpus: usize) {
-        let idx = match self
-            .regions
-            .iter()
-            .position(|r| r.start_addr == addr && r.period == period)
-        {
-            Some(i) => i,
-            None => {
-                self.regions.push(RegionInfo::new(addr, period));
-                self.regions.len() - 1
-            }
-        };
-        // Close the open iteration of whichever region was active.
-        if let Some(active) = self.active {
-            if let Some(start) = self.regions[active].open_since.take() {
-                if t_ns > start {
-                    self.regions[active].iterations.push(IterationRecord {
-                        start_ns: start,
-                        end_ns: t_ns,
-                        cpus,
-                    });
-                }
-            }
-        }
-        self.regions[idx].open_since = Some(t_ns);
-        self.active = Some(idx);
-    }
-
-    /// Discovered regions, in discovery order.
-    pub fn regions(&self) -> &[RegionInfo] {
-        &self.regions
-    }
-
-    /// The region currently being timed.
-    pub fn active_region(&self) -> Option<&RegionInfo> {
-        self.active.map(|i| &self.regions[i])
-    }
-
-    /// Dump every discovered region into one DTB container on `w`.
-    ///
-    /// Each region becomes one event stream (stream id = discovery index,
-    /// name `region@<start_addr>/p<period>`) whose values are the region's
-    /// completed iteration durations in nanoseconds — so a recorded run
-    /// can be re-analyzed offline (`dpd analyze dump.dtb`, periodicity of
-    /// the iteration times themselves) or replayed through the
-    /// multi-stream service at wire speed.
-    pub fn write_dtb<W: std::io::Write>(&self, w: W) -> Result<(), dpd_trace::dtb::DtbError> {
-        let mut writer = dpd_trace::dtb::DtbWriter::new(w)?;
-        for (ix, region) in self.regions.iter().enumerate() {
-            let name = format!("region@{:#x}/p{}", region.start_addr, region.period);
-            writer.declare_events(ix as u64, &name)?;
-            let durations: Vec<i64> = region
-                .iterations
-                .iter()
-                .map(|it| it.duration_ns() as i64)
-                .collect();
-            writer.push_events(ix as u64, &durations)?;
-        }
-        writer.finish()?;
-        Ok(())
-    }
-}
-
 /// The SelfAnalyzer: DPD-driven discovery and timing of parallel regions.
 ///
 /// # Examples
@@ -260,7 +179,11 @@ impl RegionBook {
 #[derive(Debug)]
 pub struct SelfAnalyzer {
     dpd: Dpd,
-    book: RegionBook,
+    /// Discovered regions, in discovery order: the paper's
+    /// `InitParallelRegion(address, length)` plus iteration timing.
+    regions: Vec<RegionInfo>,
+    /// Index into `regions` of the region currently being timed.
+    active: Option<usize>,
     /// CPUs the application currently holds (set by the runtime/scheduler).
     cpus_now: usize,
     /// Total loop-call events processed.
@@ -286,7 +209,8 @@ impl SelfAnalyzer {
     ) -> Result<Self, dpd_core::pipeline::BuildError> {
         Ok(SelfAnalyzer {
             dpd: builder.build_capi()?,
-            book: RegionBook::new(),
+            regions: Vec::new(),
+            active: None,
             cpus_now: initial_cpus.max(1),
             events: 0,
         })
@@ -316,8 +240,7 @@ impl SelfAnalyzer {
             return None;
         }
         let period = period as usize;
-        self.book
-            .note_period_start(addr, period, t_ns, self.cpus_now);
+        self.note_period_start(addr, period, t_ns);
         Some(period)
     }
 
@@ -341,24 +264,50 @@ impl SelfAnalyzer {
         self.events += addrs.len() as u64;
         let detections = self.dpd.dpd_batch(addrs);
         for &(offset, period) in &detections {
-            self.book.note_period_start(
-                addrs[offset],
-                period as usize,
-                times_ns[offset],
-                self.cpus_now,
-            );
+            self.note_period_start(addrs[offset], period as usize, times_ns[offset]);
         }
         detections.len()
     }
 
-    /// Discovered regions.
+    /// Record a DPD period start for `(addr, period)` at time `t_ns` under
+    /// the current CPU allocation: find or create the region, close the
+    /// previously open iteration, open the next one.
+    fn note_period_start(&mut self, addr: i64, period: usize, t_ns: u64) {
+        let idx = match self
+            .regions
+            .iter()
+            .position(|r| r.start_addr == addr && r.period == period)
+        {
+            Some(i) => i,
+            None => {
+                self.regions.push(RegionInfo::new(addr, period));
+                self.regions.len() - 1
+            }
+        };
+        // Close the open iteration of whichever region was active.
+        if let Some(active) = self.active {
+            if let Some(start) = self.regions[active].open_since.take() {
+                if t_ns > start {
+                    self.regions[active].iterations.push(IterationRecord {
+                        start_ns: start,
+                        end_ns: t_ns,
+                        cpus: self.cpus_now,
+                    });
+                }
+            }
+        }
+        self.regions[idx].open_since = Some(t_ns);
+        self.active = Some(idx);
+    }
+
+    /// Discovered regions, in discovery order.
     pub fn regions(&self) -> &[RegionInfo] {
-        self.book.regions()
+        &self.regions
     }
 
     /// The region currently being timed.
     pub fn active_region(&self) -> Option<&RegionInfo> {
-        self.book.active_region()
+        self.active.map(|i| &self.regions[i])
     }
 
     /// Total loop-call events processed.
@@ -370,8 +319,7 @@ impl SelfAnalyzer {
     /// being timed, under the current CPU allocation. `None` until a
     /// region is active and has measured iterations at this allocation.
     pub fn forecast_next_iteration(&self) -> Option<DurationForecast> {
-        self.book
-            .active_region()?
+        self.active_region()?
             .forecast_next_duration_ns(self.cpus_now)
     }
 
@@ -380,13 +328,31 @@ impl SelfAnalyzer {
         self.dpd.dpd_window_size(size);
     }
 
-    /// Dump the discovered regions as a DTB container (see
-    /// [`RegionBook::write_dtb`] for the stream layout).
+    /// Dump every discovered region into one DTB container on `w`.
+    ///
+    /// Each region becomes one event stream (stream id = discovery index,
+    /// name `region@<start_addr>/p<period>`) whose values are the region's
+    /// completed iteration durations in nanoseconds — so a recorded run
+    /// can be re-analyzed offline (`dpd analyze dump.dtb`, periodicity of
+    /// the iteration times themselves) or replayed through the
+    /// multi-stream service at wire speed.
     pub fn dump_regions_dtb<W: std::io::Write>(
         &self,
         w: W,
     ) -> Result<(), dpd_trace::dtb::DtbError> {
-        self.book.write_dtb(w)
+        let mut writer = dpd_trace::dtb::DtbWriter::new(w)?;
+        for (ix, region) in self.regions.iter().enumerate() {
+            let name = format!("region@{:#x}/p{}", region.start_addr, region.period);
+            writer.declare_events(ix as u64, &name)?;
+            let durations: Vec<i64> = region
+                .iterations
+                .iter()
+                .map(|it| it.duration_ns() as i64)
+                .collect();
+            writer.push_events(ix as u64, &durations)?;
+        }
+        writer.finish()?;
+        Ok(())
     }
 }
 
@@ -548,9 +514,11 @@ mod tests {
         let (events, sampled) = dpd_trace::dtb::read_all(&buf).unwrap();
         assert!(sampled.is_empty());
         assert_eq!(events.len(), 1);
+        let (id, trace) = &events[0];
+        assert_eq!(*id, 0, "stream id = discovery index");
         let region = &sa.regions()[0];
         assert_eq!(
-            events[0].name,
+            trace.name,
             format!("region@{:#x}/p{}", region.start_addr, region.period)
         );
         let expect: Vec<i64> = region
@@ -558,14 +526,14 @@ mod tests {
             .iter()
             .map(|it| it.duration_ns() as i64)
             .collect();
-        assert_eq!(events[0].values, expect);
+        assert_eq!(trace.values, expect);
     }
 
     #[test]
     fn dtb_dump_of_empty_book_is_valid_and_empty() {
-        let book = RegionBook::new();
+        let sa = SelfAnalyzer::new(8, 1);
         let mut buf = Vec::new();
-        book.write_dtb(&mut buf).unwrap();
+        sa.dump_regions_dtb(&mut buf).unwrap();
         let (events, sampled) = dpd_trace::dtb::read_all(&buf).unwrap();
         assert!(events.is_empty() && sampled.is_empty());
     }

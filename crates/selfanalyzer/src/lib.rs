@@ -29,6 +29,6 @@ pub mod policy;
 pub mod report;
 pub mod speedup;
 
-pub use analyzer::{DurationForecast, RegionBook, RegionInfo, SelfAnalyzer};
+pub use analyzer::{DurationForecast, RegionInfo, SelfAnalyzer};
 pub use estimate::ExecutionEstimator;
 pub use speedup::{efficiency, speedup};

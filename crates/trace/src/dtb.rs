@@ -1268,7 +1268,7 @@ pub fn read_events(data: &[u8]) -> Result<EventTrace, DtbError> {
     if events.is_empty() {
         return Err(DtbError::NoSuchStream);
     }
-    Ok(events.swap_remove(0))
+    Ok(events.swap_remove(0).1)
 }
 
 /// Read the container's first-declared sampled stream as a [`SampledTrace`].
@@ -1277,14 +1277,18 @@ pub fn read_sampled(data: &[u8]) -> Result<SampledTrace, DtbError> {
     if sampled.is_empty() {
         return Err(DtbError::NoSuchStream);
     }
-    Ok(sampled.swap_remove(0))
+    Ok(sampled.swap_remove(0).1)
 }
 
-/// Read every stream in the container, each kind in declaration order.
-pub fn read_all(data: &[u8]) -> Result<(Vec<EventTrace>, Vec<SampledTrace>), DtbError> {
+/// Every stream of a container with its stream id, one list per kind.
+pub type DtbStreams = (Vec<(u64, EventTrace)>, Vec<(u64, SampledTrace)>);
+
+/// Read every stream in the container with its stream id, each kind in
+/// declaration order.
+pub fn read_all(data: &[u8]) -> Result<DtbStreams, DtbError> {
     let mut reader = DtbReader::new(data)?;
-    let mut events: Vec<EventTrace> = Vec::new();
-    let mut sampled: Vec<SampledTrace> = Vec::new();
+    let mut events: Vec<(u64, EventTrace)> = Vec::new();
+    let mut sampled: Vec<(u64, SampledTrace)> = Vec::new();
     let mut event_ix: HashMap<u64, usize> = HashMap::new();
     let mut sampled_ix: HashMap<u64, usize> = HashMap::new();
     while let Some(block) = reader.next_block() {
@@ -1292,24 +1296,25 @@ pub fn read_all(data: &[u8]) -> Result<(Vec<EventTrace>, Vec<SampledTrace>), Dtb
             Block::Decl { stream, meta } => match meta.kind {
                 StreamKind::Events => {
                     event_ix.entry(stream).or_insert_with(|| {
-                        events.push(EventTrace::new(meta.name.clone()));
+                        events.push((stream, EventTrace::new(meta.name.clone())));
                         events.len() - 1
                     });
                 }
                 StreamKind::Sampled => {
                     sampled_ix.entry(stream).or_insert_with(|| {
-                        sampled.push(SampledTrace::new(meta.name.clone(), meta.sample_period_ns));
+                        let trace = SampledTrace::new(meta.name.clone(), meta.sample_period_ns);
+                        sampled.push((stream, trace));
                         sampled.len() - 1
                     });
                 }
             },
             Block::Events { stream, values } => {
                 let ix = event_ix[&stream]; // decl enforced by the reader
-                events[ix].values.extend_from_slice(values);
+                events[ix].1.values.extend_from_slice(values);
             }
             Block::Samples { stream, values } => {
                 let ix = sampled_ix[&stream];
-                sampled[ix].values.extend_from_slice(values);
+                sampled[ix].1.values.extend_from_slice(values);
             }
         }
     }
@@ -1359,13 +1364,18 @@ mod tests {
         for block_len in [1usize, 2, 3, 7, 4096] {
             let a: Vec<i64> = (0..100).map(|i| 0x1000 + (i % 7)).collect();
             let b: Vec<i64> = (0..53).map(|i| 0x2000 - i * 17).collect();
-            let bytes = event_container(&[(5, "a", a.clone()), (9, "b", b.clone())], block_len);
+            let c: Vec<i64> = (0..31).map(|i| i * i).collect();
+            // Sparse, non-ascending ids come back as declared.
+            let streams = [(42, "a", a), (7, "b", b), (1 << 40, "c", c)];
+            let bytes = event_container(&streams, block_len);
             let (events, sampled) = read_all(&bytes).unwrap();
             assert!(sampled.is_empty());
-            assert_eq!(events.len(), 2);
-            assert_eq!(events[0].name, "a");
-            assert_eq!(events[0].values, a, "block_len={block_len}");
-            assert_eq!(events[1].values, b, "block_len={block_len}");
+            assert_eq!(events.len(), 3);
+            for ((id, trace), (want_id, name, values)) in events.iter().zip(&streams) {
+                assert_eq!(id, want_id);
+                assert_eq!(trace.name, *name);
+                assert_eq!(&trace.values, values, "block_len={block_len}");
+            }
         }
     }
 
@@ -1548,7 +1558,7 @@ mod tests {
         joined.extend_from_slice(&second);
         let (events, _) = read_all(&joined).unwrap();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].values, (0..80).collect::<Vec<i64>>());
+        assert_eq!(events[0].1.values, (0..80).collect::<Vec<i64>>());
     }
 
     #[test]
@@ -1560,7 +1570,7 @@ mod tests {
         w.flush().unwrap();
         drop(w);
         let (events, _) = read_all(&bytes).unwrap();
-        assert_eq!(events[0].values, (0..20).collect::<Vec<i64>>());
+        assert_eq!(events[0].1.values, (0..20).collect::<Vec<i64>>());
     }
 
     #[test]

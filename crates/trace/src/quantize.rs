@@ -55,15 +55,6 @@ pub fn change_events(trace: &SampledTrace, levels: usize) -> Vec<(usize, i64)> {
     out
 }
 
-/// Convert the change events to a plain event stream (values only), the
-/// form the event-metric DPD consumes.
-pub fn change_stream(trace: &SampledTrace, levels: usize) -> Vec<i64> {
-    change_events(trace, levels)
-        .into_iter()
-        .map(|(_, v)| v)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

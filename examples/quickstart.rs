@@ -31,7 +31,7 @@ fn main() {
     let (segments, marks) = segment_events(&stream, 16);
     for seg in &segments {
         println!(
-            "segment [{}, {}): period {}, {} complete periods",
+            "segment [{}, {}): period {}, {} periods",
             seg.start, seg.end, seg.period, seg.periods
         );
     }

@@ -7,9 +7,9 @@
 //! * [`core`] — the DPD algorithm: metrics, streaming detection,
 //!   segmentation, nested periods, prediction, window autotuning.
 //! * [`trace`] — event/sampled trace types, generators and I/O.
-//! * [`runtime`] — the parallel runtime substrate: thread pool, parallel
-//!   loops, CPU-usage accounting, the virtual-time multiprocessor, and the
-//!   sharded multi-stream DPD service.
+//! * [`runtime`] — the parallel runtime substrate: the virtual-time
+//!   multiprocessor with its CPU-usage accounting, allocation policies,
+//!   and the sharded multi-stream DPD service.
 //! * [`obs`] — the observability plane: lock-free metrics registry,
 //!   Prometheus-style exposition endpoint, and DTB self-tracing (the
 //!   detector pointed at the server's own ingest loops).

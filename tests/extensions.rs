@@ -1,6 +1,6 @@
 //! Integration tests for the extension modules: quantization, dynamic
-//! serialization, the autocorrelation baseline, the MPI-style FT variant
-//! and live runs.
+//! serialization, the autocorrelation baseline and the MPI-style FT
+//! variant.
 
 use dpd::apps::ft::{ft_mpi_run, ft_run, PERIOD_MS};
 use dpd::core::baseline::AutocorrDetector;
@@ -86,24 +86,4 @@ fn serialization_policy_on_overhead_dominated_loop() {
         SerializationPolicy::default().decide(region, 1, 16),
         ExecutionDecision::Serialize
     );
-}
-
-#[test]
-fn live_run_detected_by_dpd() {
-    use dpd::apps::live::{live_jacobi_run, LiveConfig};
-    let run = live_jacobi_run(&LiveConfig {
-        threads: 2,
-        grid: 32,
-        iterations: 50,
-        sample_period: std::time::Duration::from_micros(250),
-    });
-    let mut dpd = dpd::core::pipeline::DpdBuilder::new()
-        .window(8)
-        .build_detector()
-        .unwrap();
-    for &s in &run.addresses.values {
-        dpd.push(s);
-    }
-    assert_eq!(dpd.stats().detected_periods(), vec![3]);
-    assert!(run.residual.is_finite());
 }

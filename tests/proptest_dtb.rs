@@ -107,7 +107,7 @@ proptest! {
         w.push_events(0, &values).unwrap();
         let bytes = w.finish().unwrap();
         let (events, _) = dtb::read_all(&bytes).unwrap();
-        prop_assert_eq!(&events[0].values, &values);
+        prop_assert_eq!(&events[0].1.values, &values);
     }
 
     #[test]
@@ -354,7 +354,8 @@ proptest! {
             w.push_events(*id, rec).unwrap();
         }
         let bytes = w.finish().unwrap();
-        let (dtb_traces, _) = dtb::read_all(&bytes).unwrap();
+        let (dtb_streams, _) = dtb::read_all(&bytes).unwrap();
+        let dtb_traces: Vec<EventTrace> = dtb_streams.into_iter().map(|(_, t)| t).collect();
 
         prop_assert_eq!(dtb_traces.len(), text_traces.len());
         for (d, t) in dtb_traces.iter().zip(&text_traces) {
@@ -424,10 +425,12 @@ fn every_generator_roundtrips_through_dtb() {
     }
     let bytes = w.finish().unwrap();
     let (events, _) = dtb::read_all(&bytes).unwrap();
-    for (s, trace) in events.iter().enumerate() {
+    let ids: Vec<u64> = events.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, (0..7).collect::<Vec<u64>>(), "declaration order");
+    for (s, trace) in &events {
         let mut expect = Vec::new();
         for (id, rec) in &schedule {
-            if *id == s as u64 {
+            if id == s {
                 expect.extend_from_slice(rec);
             }
         }

@@ -130,7 +130,7 @@ proptest! {
         let (events, sampled) = dtb::read_all(&data).unwrap();
         prop_assert!(sampled.is_empty());
         prop_assert_eq!(events.len(), shards);
-        for (k, t) in events.iter().enumerate() {
+        for (k, (_, t)) in events.iter().enumerate() {
             prop_assert_eq!(t.name.as_str(), format!("ingest-loop/shard-{k}").as_str());
             prop_assert_eq!(&t.values, &expect[k]);
         }
