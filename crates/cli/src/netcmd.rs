@@ -4,8 +4,10 @@
 //! hands every accepted connection to [`par_runtime::net::DpdServer`]
 //! (incremental frame reassembly, bounded buffers, slow-client shedding,
 //! optional checkpoint-on-exit durability) and — once the accept limit
-//! is reached and every connection has drained — prints the same kind of
-//! deterministic summary the offline `multistream` command does.
+//! is reached and every connection has drained — prints a deterministic
+//! summary of counts, as the offline `multistream` command does. The
+//! events themselves go to `--events FILE` as they are published, or
+//! nowhere.
 //!
 //! `loadgen` is the matching client simulator: it replays a DTB corpus
 //! over N concurrent connections, partitioning the corpus's event
@@ -45,6 +47,8 @@ the server acknowledges ingested samples with 8-byte cumulative counts.
   --query FILE         attach standing queries from a spec file, one per
                        line (docs/QUERIES.md); the summary then reports
                        enter/exit delta counts
+  --events FILE        write every detector event to FILE, one line each,
+                       as it is published (default: count and drop them)
   --max-conns N        shed connections beyond N open (default 4096)
   --max-frame BYTES    reject frames larger than BYTES (default 1048576)
   --stall-ms T         shed a connection stalled mid-frame for T ms
@@ -161,6 +165,7 @@ pub fn serve(flags: &Flags) -> Result<String, String> {
         max_frame: flags.get_usize("max-frame", dtb::DEFAULT_MAX_FRAME)?,
         stall_ms: flags.get_usize("stall-ms", 5_000)? as u64,
         accept_limit: accept,
+        events: flags.get("events").map(Into::into),
         ..NetConfig::default()
     };
     if let Some(path) = flags.get("checkpoint") {
@@ -285,14 +290,6 @@ pub fn serve(flags: &Flags) -> Result<String, String> {
         // Final drain + DTB finalize before we report the file.
         w.finish();
         writeln!(out, "self-trace: wrote {path}").unwrap();
-    }
-    // Event lines sorted by stream id: the sort is stable, so the
-    // per-stream order the service guarantees is preserved and the
-    // output is deterministic for any connection interleaving.
-    let mut events = report.events;
-    events.sort_by_key(|e| e.stream().0);
-    for e in &events {
-        writeln!(out, "  {e:?}").unwrap();
     }
     let t = report.snapshot.total();
     writeln!(
@@ -772,6 +769,20 @@ pub fn loopback_smoke(serve_args: &[String], loadgen_args: &[String]) -> (String
     (serve_out, gen_out)
 }
 
+/// The lines of a `serve --events` file, stably sorted by the stream id
+/// each names: per-stream order is kept, and the result is the same for
+/// any connection interleaving. A test helper, like [`loopback_smoke`].
+#[doc(hidden)]
+pub fn sort_event_lines(text: &str) -> String {
+    let stream = |line: &str| -> Option<u64> {
+        let rest = line.split("StreamId(").nth(1)?;
+        rest.split(')').next()?.parse().ok()
+    };
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_by_key(|line| stream(line));
+    lines.iter().map(|line| format!("{line}\n")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -946,20 +957,25 @@ mod tests {
     }
 
     /// Loopback smoke across every fragmentation mode: the serve-side
-    /// summary is byte-identical regardless of how the client fragments
-    /// its writes, and matches the corpus totals.
+    /// summary and events file are byte-identical (the file once sorted
+    /// by stream) regardless of how the client fragments its writes, and
+    /// match the corpus totals.
     #[test]
     fn loopback_serve_output_is_fragmentation_invariant() {
         let dir = scratch("frag");
         let corpus = dir.join("corpus.dtb");
         write_corpus(&corpus);
         let mut serve_outs = Vec::new();
+        let mut event_files = Vec::new();
         for fragment in ["whole", "bytes:1", "random"] {
-            let pf = dir.join(format!("port-{}", fragment.replace(':', "-")));
+            let tag = fragment.replace(':', "-");
+            let pf = dir.join(format!("port-{tag}"));
+            let events = dir.join(format!("events-{tag}"));
             let (s, g) = loopback_smoke(
                 &argv(&format!(
-                    "serve --accept 2 --window 16 --port-file {} --timing none",
-                    pf.display()
+                    "serve --accept 2 --window 16 --port-file {} --events {} --timing none",
+                    pf.display(),
+                    events.display()
                 )),
                 &argv(&format!(
                     "loadgen {} --conns 2 --fragment {fragment} --port-file {} --timing none",
@@ -974,9 +990,15 @@ mod tests {
             );
             assert!(s.contains("ingested 1800 samples"), "{s}");
             serve_outs.push(s);
+            event_files.push(sort_event_lines(&std::fs::read_to_string(&events).unwrap()));
         }
         assert_eq!(serve_outs[0], serve_outs[1], "bytes:1 changed the summary");
         assert_eq!(serve_outs[0], serve_outs[2], "random changed the summary");
+        // Every event the summary counts is in the file.
+        let counted = format!("events {} |", event_files[0].lines().count());
+        assert!(serve_outs[0].contains(&counted), "{}", serve_outs[0]);
+        assert_eq!(event_files[0], event_files[1], "bytes:1 changed the events");
+        assert_eq!(event_files[0], event_files[2], "random changed the events");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -202,9 +202,10 @@ fn golden_cli_outputs_are_stable() {
 
 /// The wire path is golden-tested too: `serve --help`, plus a loopback
 /// serve + loadgen smoke over the committed DTB fixture. Both sides run
-/// with `--timing none`, the loadgen partitions streams deterministically
-/// and the server sorts its event lines by stream id, so both stdouts
-/// are byte-stable for any connection interleaving.
+/// with `--timing none` and the loadgen partitions streams
+/// deterministically, so both stdouts are byte-stable for any connection
+/// interleaving; so is the server's `--events` file once its lines are
+/// sorted by stream id.
 #[test]
 fn golden_serve_outputs_are_stable() {
     check_golden("serve_help.txt", "serve --help");
@@ -218,11 +219,13 @@ fn golden_serve_outputs_are_stable() {
     std::fs::create_dir_all(&scratch).unwrap();
     let port_file = scratch.join("serve_smoke.port");
     std::fs::remove_file(&port_file).ok();
+    let events = scratch.join("serve_smoke.events");
 
     let (serve_out, loadgen_out) = dpd_cli::netcmd::loopback_smoke(
         &argv(&format!(
-            "serve --accept 2 --window 16 --port-file {} --timing none",
-            port_file.display()
+            "serve --accept 2 --window 16 --port-file {} --events {} --timing none",
+            port_file.display(),
+            events.display()
         )),
         &argv(&format!(
             "loadgen {} --conns 2 --chunk 64 --fragment bytes:997 --port-file {} --timing none",
@@ -232,6 +235,11 @@ fn golden_serve_outputs_are_stable() {
     );
     check_golden_text("serve_smoke_serve.txt", &serve_out);
     check_golden_text("serve_smoke_loadgen.txt", &loadgen_out);
+    let events = std::fs::read_to_string(&events).unwrap();
+    check_golden_text(
+        "serve_smoke_events.txt",
+        &dpd_cli::netcmd::sort_event_lines(&events),
+    );
 }
 
 /// The observability plane is golden-tested end to end: `stats --help`,

@@ -265,13 +265,13 @@ fn encode_suffix(bytes: &[u8], skip: u64) -> Vec<u8> {
     w.finish().unwrap()
 }
 
-/// Group a serve stdout's event lines by the stream id they mention.
-fn event_lines(out: &str) -> BTreeMap<String, Vec<String>> {
+/// Group the lines of a `serve --events` file by the stream id they
+/// mention.
+fn event_lines(path: &Path) -> BTreeMap<String, Vec<String>> {
+    let out = std::fs::read_to_string(path).unwrap();
     let mut m: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for line in out.lines().filter(|l| l.starts_with("  ")) {
-        let Some(rest) = line.split("StreamId(").nth(1) else {
-            continue;
-        };
+    for line in out.lines() {
+        let rest = line.split("StreamId(").nth(1).expect("an event line");
         let id = rest.split(')').next().unwrap().to_string();
         m.entry(id).or_default().push(line.to_string());
     }
@@ -288,7 +288,7 @@ fn sigkill_then_resume_serve_is_bit_identical() {
     let total = 6000u64;
     let builder = DpdBuilder::new().window(16).shards(0);
 
-    let serve_args = |ck: &Path, port: &Path, resume: bool| {
+    let serve_args = |ck: &Path, port: &Path, events: &Path, resume: bool| {
         let mut args = vec![
             "serve".to_string(),
             "--accept".into(),
@@ -303,6 +303,8 @@ fn sigkill_then_resume_serve_is_bit_identical() {
             "512".into(),
             "--port-file".into(),
             port.display().to_string(),
+            "--events".into(),
+            events.display().to_string(),
             "--timing".into(),
             "none".into(),
         ];
@@ -315,8 +317,9 @@ fn sigkill_then_resume_serve_is_bit_identical() {
     // 1. Oracle: one uninterrupted serve of the whole corpus.
     let oracle_ck = dir.join("oracle.ck");
     let oracle_port = dir.join("oracle.port");
+    let oracle_events = dir.join("oracle.events");
     let oracle_child = Command::new(bin())
-        .args(serve_args(&oracle_ck, &oracle_port, false))
+        .args(serve_args(&oracle_ck, &oracle_port, &oracle_events, false))
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -325,14 +328,14 @@ fn sigkill_then_resume_serve_is_bit_identical() {
     assert_eq!(acked, total, "oracle run short-acked");
     let oracle_out = oracle_child.wait_with_output().unwrap();
     assert!(oracle_out.status.success());
-    let oracle_stdout = String::from_utf8(oracle_out.stdout).unwrap();
 
     // 2. Crash: serve the same corpus slowly, SIGKILL after the first
     //    durable checkpoint hits the disk.
     let crash_ck = dir.join("crash.ck");
     let crash_port = dir.join("crash.port");
+    let crash_events = dir.join("crash.events");
     let mut child = Command::new(bin())
-        .args(serve_args(&crash_ck, &crash_port, false))
+        .args(serve_args(&crash_ck, &crash_port, &crash_events, false))
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -379,8 +382,9 @@ fn sigkill_then_resume_serve_is_bit_identical() {
 
     // 4. Resume serve and replay the suffix.
     let resume_port = dir.join("resume.port");
+    let resume_events = dir.join("resume.events");
     let resume_child = Command::new(bin())
-        .args(serve_args(&crash_ck, &resume_port, true))
+        .args(serve_args(&crash_ck, &resume_port, &resume_events, true))
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -402,10 +406,16 @@ fn sigkill_then_resume_serve_is_bit_identical() {
         "{resume_stdout}"
     );
 
-    // 5a. Event equivalence: per stream, the resumed run's event lines
-    //     are exactly a suffix of the oracle's.
-    let oracle_events = event_lines(&oracle_stdout);
-    for (stream, lines) in event_lines(&resume_stdout) {
+    // 5a. Event equivalence: per stream, the resumed run's events are
+    //     exactly a suffix of the oracle's.
+    let oracle_events = event_lines(&oracle_events);
+    let resumed_events = event_lines(&resume_events);
+    assert_eq!(
+        resumed_events.keys().collect::<Vec<_>>(),
+        oracle_events.keys().collect::<Vec<_>>(),
+        "every stream closes in the resumed run"
+    );
+    for (stream, lines) in resumed_events {
         let full = &oracle_events[&stream];
         assert!(
             lines.len() <= full.len(),

@@ -14,8 +14,11 @@
 //!   [`NetConfig::max_frame`] is rejected before it is buffered, so a
 //!   hostile length varint cannot balloon per-connection memory;
 //! * **backpressure** — decoded blocks are applied to the shared
-//!   [`MultiStreamDpd`] before more input is read, and cumulative
-//!   acknowledgements let well-behaved clients pace themselves;
+//!   [`MultiStreamDpd`] before more input is read. In sharded mode a
+//!   full shard queue parks the connection thread inside `ingest`, so it
+//!   stops reading and TCP flow control pushes back on the client: under
+//!   overload ack latency rises, not memory. Cumulative acknowledgements
+//!   let well-behaved clients pace themselves;
 //! * **shedding** — clients that stall mid-frame past
 //!   [`NetConfig::stall_ms`], or stop draining acknowledgements past
 //!   [`NetConfig::write_ms`], are disconnected without affecting other
@@ -23,6 +26,13 @@
 //! * **typed rejection** — malformed input closes the connection with the
 //!   offending [`DtbError`] counted in [`NetStats::protocol_errors`]; the
 //!   valid prefix stays applied, nothing is fabricated.
+//!
+//! The server holds no published output. After every `ingest` and every
+//! checkpoint it drains the service under the lock it already holds:
+//! each event goes to the [`NetConfig::events`] file, or is dropped, and
+//! standing-query deltas are dropped. Nothing is lost by dropping: the
+//! counts stay in `dpd_shard_events_total` and the query enter/exit
+//! series.
 //!
 //! Shutdown drains cleanly: connection workers observe the stop flag at
 //! their next poll tick, the accept loop is unblocked, and the service is
@@ -48,7 +58,8 @@ use dpd_core::shard::{MultiStreamEvent, StreamId};
 use dpd_obs::{Counter, Gauge, Histogram, Registry};
 use dpd_trace::dtb::{self, Block, DtbDecoder, DtbError};
 use dpd_trace::pile::EpochMarker;
-use std::io::{ErrorKind, Read, Write};
+use std::fs::File;
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,7 +89,8 @@ const READ_BUF: usize = 16 * 1024;
 #[non_exhaustive]
 #[derive(Debug)]
 pub enum NetError {
-    /// Socket-level failure (bind, local address query).
+    /// Socket-level failure (bind, local address query), or the events
+    /// file could not be created or written.
     Io(std::io::Error),
     /// The detector configuration was rejected.
     Build(BuildError),
@@ -159,6 +171,12 @@ pub struct NetConfig {
     pub accept_limit: u64,
     /// Checkpoint/resume policy; `None` runs purely in memory.
     pub durable: Option<DurableNet>,
+    /// Write every published detector event to this file, one `{e:?}`
+    /// line each, in publication order (per stream, the service's order),
+    /// the shutdown close wave included. The file is created (truncated)
+    /// at start. `None` drops each event once it is published; the
+    /// registry still counts it.
+    pub events: Option<PathBuf>,
 }
 
 impl Default for NetConfig {
@@ -171,6 +189,7 @@ impl Default for NetConfig {
             write_ms: 2_000,
             accept_limit: 0,
             durable: None,
+            events: None,
         }
     }
 }
@@ -328,14 +347,44 @@ struct ConnState {
 struct Core {
     /// `None` only after shutdown took the service out.
     svc: Option<MultiStreamDpd>,
-    /// Events drained at checkpoints, delivered with the final report.
-    events: Vec<MultiStreamEvent>,
-    /// Samples ingested since the last durable checkpoint.
+    /// The [`NetConfig::events`] file, when one is set.
+    log: Option<EventLog>,
+    /// Samples ingested since the last durable checkpoint attempt.
     since_ckpt: u64,
     /// Monotonic checkpoint ordinal (continues a resumed lineage).
     ordinal: u64,
     /// First checkpoint failure, surfaced at shutdown.
     ckpt_error: Option<CheckpointError>,
+}
+
+impl Core {
+    /// Drain everything the service has published: each event to the
+    /// events file, or nowhere, and every query delta nowhere.
+    fn hand_off(&mut self) {
+        let Some(svc) = self.svc.as_mut() else { return };
+        match &mut self.log {
+            Some(log) => svc.drain_each(|e| log.write(e)),
+            None => svc.drain_each(|_| {}),
+        }
+    }
+}
+
+/// The [`NetConfig::events`] file.
+struct EventLog {
+    out: BufWriter<File>,
+    /// The first write failure: writing stops there, and `shutdown`
+    /// returns it.
+    error: Option<std::io::Error>,
+}
+
+impl EventLog {
+    fn write(&mut self, e: &MultiStreamEvent) {
+        if self.error.is_none() {
+            if let Err(err) = writeln!(self.out, "{e:?}") {
+                self.error = Some(err);
+            }
+        }
+    }
 }
 
 struct Shared {
@@ -352,12 +401,15 @@ impl Shared {
         self.ctr.stats()
     }
 
-    /// Take a checkpoint now, under the already-held core lock, and
-    /// publish the durable acknowledgement cut to every connection.
+    /// Take a checkpoint now, under the already-held core lock, publish
+    /// the durable acknowledgement cut to every connection, and hand off
+    /// what the service published. A failed attempt is retried at the
+    /// next cadence point, not on every batch.
     fn checkpoint_locked(&self, core: &mut Core) {
         let Some(d) = &self.cfg.durable else { return };
         let Some(svc) = core.svc.as_mut() else { return };
         core.ordinal += 1;
+        core.since_ckpt = 0;
         let marker = EpochMarker {
             wave: core.ordinal,
             samples: svc.samples_ingested(),
@@ -365,8 +417,9 @@ impl Shared {
         };
         match svc.checkpoint(&d.path, marker) {
             Ok(events) => {
-                core.events.extend(events);
-                core.since_ckpt = 0;
+                if let Some(log) = &mut core.log {
+                    events.iter().for_each(|e| log.write(e));
+                }
                 self.ctr.checkpoints.inc();
                 for conn in lock(&self.conns).iter() {
                     conn.durable
@@ -381,6 +434,7 @@ impl Shared {
                 }
             }
         }
+        core.hand_off();
     }
 }
 
@@ -438,6 +492,7 @@ fn drain_decoder(
         if let Some(svc) = core.svc.as_mut() {
             svc.ingest(&records);
         }
+        core.hand_off();
         state.decoded.fetch_add(new_samples, Ordering::Release);
         shared.ctr.samples.add(new_samples);
         core.since_ckpt += new_samples;
@@ -618,8 +673,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// Everything a finished server hands back.
 #[derive(Debug)]
 pub struct ServeReport {
-    /// Every detector event the run produced (checkpoint drains plus the
-    /// final close events), in publication order.
+    /// The shutdown close wave: the events [`MultiStreamDpd::finish`]
+    /// publishes (final sweep, one close per live stream), so the number
+    /// of live streams bounds it. Every earlier event went to
+    /// [`NetConfig::events`], or nowhere, as it was published; with an
+    /// events file set, these are written there too.
     pub events: Vec<MultiStreamEvent>,
     /// Final detector-service snapshot.
     pub snapshot: ServiceSnapshot,
@@ -667,6 +725,13 @@ impl DpdServer {
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
+        let log = match &cfg.events {
+            Some(path) => Some(EventLog {
+                out: BufWriter::new(File::create(path)?),
+                error: None,
+            }),
+            None => None,
+        };
         let registry = obs.registry.clone();
         let (svc, resumed_from) = match &cfg.durable {
             Some(d) if d.resume && d.path.exists() => {
@@ -679,7 +744,7 @@ impl DpdServer {
             cfg,
             core: Mutex::new(Core {
                 svc: Some(svc),
-                events: Vec::new(),
+                log,
                 since_ckpt: 0,
                 ordinal: resumed_from.map(|m| m.ordinal).unwrap_or(0),
                 ckpt_error: None,
@@ -732,7 +797,9 @@ impl DpdServer {
 
     /// Stop accepting, let in-flight connections observe the stop flag,
     /// take the exit checkpoint when durable, finish the service and
-    /// return everything it produced.
+    /// return its close wave and counters. Returns the first checkpoint
+    /// failure, else the first events-file failure, once the close wave
+    /// is written and the file flushed.
     pub fn shutdown(mut self) -> Result<ServeReport, NetError> {
         self.shared.stop.store(true, Ordering::Release);
         // Unblock a blocking accept() with a self-connection; harmless
@@ -748,14 +815,27 @@ impl DpdServer {
         if self.shared.cfg.durable.is_some() && core.since_ckpt > 0 {
             self.shared.checkpoint_locked(&mut core);
         }
+        // Quiesce and hand off, so `finish` returns only the close wave.
+        if let Some(svc) = core.svc.as_mut() {
+            svc.flush();
+        }
+        core.hand_off();
+        let svc = core.svc.take().expect("server shut down twice");
+        let (events, snapshot) = svc.finish();
+        let log_error = core.log.take().and_then(|mut log| {
+            events.iter().for_each(|e| log.write(e));
+            match log.error {
+                Some(e) => Some(e),
+                None => log.out.flush().err(),
+            }
+        });
         if let Some(e) = core.ckpt_error.take() {
             return Err(NetError::Checkpoint(e));
         }
-        let mut events = std::mem::take(&mut core.events);
-        let svc = core.svc.take().expect("server shut down twice");
+        if let Some(e) = log_error {
+            return Err(NetError::Io(e));
+        }
         drop(core);
-        let (tail, snapshot) = svc.finish();
-        events.extend(tail);
         Ok(ServeReport {
             events,
             snapshot,
@@ -804,12 +884,40 @@ mod tests {
         svc.finish().0
     }
 
-    fn by_stream(events: &[MultiStreamEvent]) -> BTreeMap<u64, Vec<MultiStreamEvent>> {
-        let mut m: BTreeMap<u64, Vec<MultiStreamEvent>> = BTreeMap::new();
-        for &e in events {
-            m.entry(e.stream().0).or_default().push(e);
+    /// The `{e:?}` lines of `events`, grouped by stream in order.
+    fn by_stream(events: &[MultiStreamEvent]) -> BTreeMap<u64, Vec<String>> {
+        let mut m: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+        for e in events {
+            m.entry(e.stream().0).or_default().push(format!("{e:?}"));
         }
         m
+    }
+
+    /// A fresh temp path for one test.
+    fn temp_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("dpd-net-{}-{tag}", std::process::id()))
+    }
+
+    /// The lines of an events file, grouped by the stream they name.
+    fn file_by_stream(path: &std::path::Path) -> BTreeMap<u64, Vec<String>> {
+        let text = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).ok();
+        let mut m: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+        for line in text.lines() {
+            let id = line.split("StreamId(").nth(1).unwrap();
+            let id = id.split(')').next().unwrap().parse().unwrap();
+            m.entry(id).or_default().push(line.to_string());
+        }
+        m
+    }
+
+    /// A server on an ephemeral port that writes its events to `events`.
+    fn start_with_events(builder: &DpdBuilder, events: &std::path::Path) -> DpdServer {
+        let cfg = NetConfig {
+            events: Some(events.to_path_buf()),
+            ..NetConfig::default()
+        };
+        DpdServer::start(builder, cfg, "127.0.0.1:0").unwrap()
     }
 
     #[test]
@@ -821,7 +929,8 @@ mod tests {
         let ref_events = replay(&builder, &bytes);
 
         // Wire: one connection, deliberately fragmented writes.
-        let server = DpdServer::start(&builder, NetConfig::default(), "127.0.0.1:0").unwrap();
+        let events = temp_path("loopback.events");
+        let server = start_with_events(&builder, &events);
         let mut sock = TcpStream::connect(server.local_addr()).unwrap();
         read_handshake(&mut sock);
         for piece in bytes.chunks(7) {
@@ -841,7 +950,13 @@ mod tests {
         assert_eq!(report.stats.protocol_errors, 0);
         assert_eq!(report.stats.clean_closes, 1);
         assert_eq!(report.stats.samples, total);
-        assert_eq!(by_stream(&report.events), by_stream(&ref_events));
+        assert_eq!(file_by_stream(&events), by_stream(&ref_events));
+        // The report keeps only the close wave: one close per stream.
+        assert_eq!(report.events.len(), 4);
+        assert!(report
+            .events
+            .iter()
+            .all(|e| matches!(e, MultiStreamEvent::Closed { .. })));
     }
 
     #[test]
@@ -891,7 +1006,8 @@ mod tests {
         let builder = DpdBuilder::new().window(8).shards(0);
         let bytes = corpus(2, 60);
         let ref_events = replay(&builder, &bytes);
-        let server = DpdServer::start(&builder, NetConfig::default(), "127.0.0.1:0").unwrap();
+        let events = temp_path("prefix.events");
+        let server = start_with_events(&builder, &events);
         let mut sock = TcpStream::connect(server.local_addr()).unwrap();
         read_handshake(&mut sock);
         // Unknown frame type 0xEE: one body byte, zero CRC.
@@ -905,7 +1021,76 @@ mod tests {
         let report = server.shutdown().unwrap();
         assert_eq!(report.stats.protocol_errors, 1);
         assert_eq!(report.stats.samples, 120);
-        assert_eq!(by_stream(&report.events), by_stream(&ref_events));
+        assert_eq!(file_by_stream(&events), by_stream(&ref_events));
+    }
+
+    /// An events file that cannot be created fails `start` with a typed
+    /// I/O error.
+    #[test]
+    fn unopenable_events_file_is_an_io_error() {
+        let cfg = NetConfig {
+            events: Some(temp_path("no-such-dir").join("events")),
+            ..NetConfig::default()
+        };
+        let builder = DpdBuilder::new().window(8).shards(0);
+        assert!(matches!(
+            DpdServer::start(&builder, cfg, "127.0.0.1:0"),
+            Err(NetError::Io(_))
+        ));
+    }
+
+    /// A durable server whose checkpoint directory appears only halfway
+    /// through the run retries at the cadence, not on every batch: the
+    /// checkpoint that lands carries an ordinal within one of the number
+    /// of cadence points, acks advance once it does, and `shutdown` still
+    /// reports the first failure.
+    #[test]
+    fn failed_checkpoint_is_retried_at_the_next_cadence_point() {
+        let root = temp_path("ckpt-retry");
+        let _ = std::fs::remove_dir_all(&root);
+        let path = root.join("state.ckpt");
+        let cadence = 100;
+        let cfg = NetConfig {
+            durable: Some(DurableNet {
+                path: path.clone(),
+                every_samples: cadence,
+                resume: false,
+            }),
+            ..NetConfig::default()
+        };
+        let builder = DpdBuilder::new().window(8).shards(0);
+        let server = DpdServer::start(&builder, cfg, "127.0.0.1:0").unwrap();
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        read_handshake(&mut sock);
+        let samples = 2000;
+        let bytes = corpus(4, samples / 4);
+        let pieces: Vec<&[u8]> = bytes.chunks(40).collect();
+        for (k, piece) in pieces.iter().enumerate() {
+            if k == pieces.len() / 2 {
+                std::fs::create_dir_all(&root).unwrap();
+            }
+            sock.write_all(piece).unwrap();
+            // One read per write, so every batch gets its own drain.
+            std::thread::sleep(Duration::from_micros(300));
+        }
+        sock.shutdown(Shutdown::Write).unwrap();
+        let mut last = 0u64;
+        let mut ack = [0u8; 8];
+        while last < samples {
+            sock.read_exact(&mut ack).expect("durable acks resume");
+            last = u64::from_le_bytes(ack);
+        }
+        drop(sock);
+        assert!(matches!(server.shutdown(), Err(NetError::Checkpoint(_))));
+        let (_, marker) = MultiStreamDpd::resume(&builder, &path).unwrap();
+        assert_eq!(marker.samples, samples);
+        assert!(
+            marker.ordinal <= samples / cadence + 1,
+            "{} checkpoint attempts for {} cadence points",
+            marker.ordinal,
+            samples / cadence
+        );
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! `(StreamId, SegmentEvent)` observations into an aggregated event sink.
 //!
 //! * **Queues.** Each shard's commands travel through one crate-private
-//!   closeable FIFO (a `Mutex<VecDeque>` plus a `Condvar`; see
-//!   `sync.rs` for why it is not `mpsc`). A worker that dies drops the
-//!   commands it never ran, so a barrier behind them fails instead of
-//!   blocking, and the next command routed to it panics.
+//!   bounded, closeable FIFO (a `Mutex<VecDeque>` plus two `Condvar`s;
+//!   see `sync.rs` for its capacity and why it is not `mpsc`). Routing
+//!   to a full queue parks the caller of `ingest` (and of a barrier)
+//!   until the worker takes a command, so a shard that falls behind
+//!   slows its producer instead of growing its queue. A worker that dies
+//!   drops the commands it never ran, so a barrier behind them fails
+//!   instead of blocking, a producer parked on its full queue wakes, and
+//!   the next command routed to it panics.
 //! * **Sink.** Workers publish through `std::sync::mpsc`, whose send path
 //!   is a lock-free linked-list queue (Rust ≥ 1.67): producers never take
 //!   a lock, and the service side drains with the non-blocking
@@ -680,8 +684,9 @@ impl MultiStreamDpd {
     }
 
     /// Apply `cmd` to `shard`: at once on the caller's thread inline,
-    /// otherwise enqueued for the shard's worker. Queue traffic is counted
-    /// here and in the worker loop only, so inline reports zero.
+    /// otherwise enqueued for the shard's worker, parking while its queue
+    /// is full. Queue traffic is counted here and in the worker loop only,
+    /// so inline reports zero.
     fn send(&mut self, shard: usize, cmd: Cmd) {
         match &mut self.shards {
             Shards::Inline(core) => core.apply(cmd),
@@ -805,6 +810,31 @@ impl MultiStreamDpd {
         std::mem::take(&mut self.pending_events)
     }
 
+    /// Hand every event published so far to `each`, in [`drain`] order,
+    /// and drop the standing-query deltas published so far (their counts
+    /// stay in the rollups). Unlike [`drain`] it moves nothing into the
+    /// pending buffers: inline it reads the core's buffers in place and
+    /// clears them, so the server can call it after every `ingest`
+    /// without allocating.
+    ///
+    /// [`drain`]: MultiStreamDpd::drain
+    pub(crate) fn drain_each(&mut self, mut each: impl FnMut(&MultiStreamEvent)) {
+        self.pending_events.drain(..).for_each(|e| each(&e));
+        self.pending_deltas.clear();
+        match &mut self.shards {
+            Shards::Inline(core) => {
+                core.events.drain(..).for_each(|e| each(&e));
+                core.table.drain_query_deltas(&mut self.pending_deltas);
+                self.pending_deltas.clear();
+            }
+            Shards::Workers { sink, .. } => {
+                for (events, _deltas) in sink.try_iter() {
+                    events.iter().for_each(&mut each);
+                }
+            }
+        }
+    }
+
     /// Standing queries registered on the service (empty unless the
     /// builder carried `standing_query(..)` calls).
     pub fn query_specs(&self) -> &[QuerySpec] {
@@ -870,16 +900,16 @@ impl MultiStreamDpd {
     /// checkpoint or the new one, never a torn file.
     ///
     /// Returns every event published up to the checkpoint (the service
-    /// sink is drained as part of quiescing); the caller owns delivering
-    /// them. The service keeps running — checkpointing is a read-only
-    /// barrier, not a shutdown.
+    /// sink is drained once the file is written); the caller owns
+    /// delivering them. On an error nothing is drained: the events stay
+    /// for the next [`drain`](MultiStreamDpd::drain). The service keeps
+    /// running — checkpointing is a read-only barrier, not a shutdown.
     pub fn checkpoint(
         &mut self,
         path: impl AsRef<Path>,
         marker: EpochMarker,
     ) -> Result<Vec<MultiStreamEvent>, CheckpointError> {
         let entries = self.barrier(Cmd::Snapshot);
-        let events = self.drain();
         let mut w = SnapshotWriter::envelope(TAG_SERVICE);
         w.u64(self.spec.shards as u64);
         w.u64(self.spec.sweep_every);
@@ -893,7 +923,7 @@ impl MultiStreamDpd {
             w.u64(self.since_sweep);
         }
         write_checkpoint_file(path.as_ref(), &w.into_bytes(), marker)?;
-        Ok(events)
+        Ok(self.drain())
     }
 
     /// Rebuild a service from a checkpoint file written by
@@ -1464,6 +1494,27 @@ mod tests {
         assert_eq!(snap.total().streams, 6);
         assert_eq!(snap.total().samples, 6 * 6 * 10);
         drop(resumed);
+    }
+
+    /// A checkpoint whose write fails drains nothing: the events published
+    /// up to its barrier are still there for the next `drain`.
+    #[test]
+    fn failed_checkpoint_keeps_the_events() {
+        for shards in [0usize, 2] {
+            let mut svc = svc_with_window(shards, 8);
+            drive(&mut svc, 6, 6, 10);
+            let path = ckpt_path(&format!("unwritable-{shards}")).join("missing/state.snap");
+            assert!(svc
+                .checkpoint(&path, marker(10, svc.samples_ingested(), 1))
+                .is_err());
+            let events = svc.drain();
+            assert!(!events.is_empty(), "shards={shards}: events lost");
+            assert_eq!(
+                events.len() as u64,
+                svc.snapshot().total().events,
+                "shards={shards}"
+            );
+        }
     }
 
     /// Overwriting a checkpoint is atomic: the second file fully replaces

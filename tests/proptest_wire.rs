@@ -263,9 +263,14 @@ fn loopback_10k_streams_100_conns_matches_in_process_replay() {
     let oracle_bytes = encode_corpus(&values, 32, 8);
     let oracle = by_stream(&replay_reader(&oracle_bytes, WINDOW));
 
-    // Server under test.
+    // Server under test, writing every event it publishes to a file.
+    let events = std::env::temp_dir().join(format!("dpd-wire-{}.events", std::process::id()));
+    let cfg = NetConfig {
+        events: Some(events.clone()),
+        ..NetConfig::default()
+    };
     let builder = DpdBuilder::new().window(WINDOW).shards(0);
-    let server = DpdServer::start(&builder, NetConfig::default(), "127.0.0.1:0").unwrap();
+    let server = DpdServer::start(&builder, cfg, "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     // 100 clients, each replaying a disjoint share of the streams with
@@ -340,7 +345,19 @@ fn loopback_10k_streams_100_conns_matches_in_process_replay() {
     let report = server.shutdown().unwrap();
     assert_eq!(report.stats.clean_closes, CONNS as u64);
     assert_eq!(report.stats.protocol_errors, 0);
-    let got = by_stream(&report.events);
+    // The file holds one `{e:?}` line per event: compare as text.
+    let text = std::fs::read_to_string(&events).unwrap();
+    std::fs::remove_file(&events).ok();
+    let mut got: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+    for line in text.lines() {
+        let id = line.split("StreamId(").nth(1).unwrap();
+        let id = id.split(')').next().unwrap().parse().unwrap();
+        got.entry(id).or_default().push(line.to_string());
+    }
+    let oracle: BTreeMap<u64, Vec<String>> = oracle
+        .into_iter()
+        .map(|(s, evs)| (s, evs.iter().map(|e| format!("{e:?}")).collect()))
+        .collect();
     assert_eq!(got.len(), oracle.len(), "stream count differs");
     assert_eq!(got, oracle, "wire replay diverged from in-process oracle");
 }
