@@ -351,6 +351,9 @@ struct Core {
     log: Option<EventLog>,
     /// Samples ingested since the last durable checkpoint attempt.
     since_ckpt: u64,
+    /// The last checkpoint attempt failed, so `shutdown` retries it even
+    /// when no sample arrived since.
+    ckpt_failed: bool,
     /// Monotonic checkpoint ordinal (continues a resumed lineage).
     ordinal: u64,
     /// First checkpoint failure, surfaced at shutdown.
@@ -404,7 +407,7 @@ impl Shared {
     /// Take a checkpoint now, under the already-held core lock, publish
     /// the durable acknowledgement cut to every connection, and hand off
     /// what the service published. A failed attempt is retried at the
-    /// next cadence point, not on every batch.
+    /// next cadence point, not on every batch, and at shutdown.
     fn checkpoint_locked(&self, core: &mut Core) {
         let Some(d) = &self.cfg.durable else { return };
         let Some(svc) = core.svc.as_mut() else { return };
@@ -415,7 +418,9 @@ impl Shared {
             samples: svc.samples_ingested(),
             ordinal: core.ordinal,
         };
-        match svc.checkpoint(&d.path, marker) {
+        let result = svc.checkpoint(&d.path, marker);
+        core.ckpt_failed = result.is_err();
+        match result {
             Ok(events) => {
                 if let Some(log) = &mut core.log {
                     events.iter().for_each(|e| log.write(e));
@@ -746,6 +751,7 @@ impl DpdServer {
                 svc: Some(svc),
                 log,
                 since_ckpt: 0,
+                ckpt_failed: false,
                 ordinal: resumed_from.map(|m| m.ordinal).unwrap_or(0),
                 ckpt_error: None,
             }),
@@ -812,7 +818,7 @@ impl DpdServer {
             thread::sleep(Duration::from_millis(2));
         }
         let mut core = lock(&self.shared.core);
-        if self.shared.cfg.durable.is_some() && core.since_ckpt > 0 {
+        if self.shared.cfg.durable.is_some() && (core.since_ckpt > 0 || core.ckpt_failed) {
             self.shared.checkpoint_locked(&mut core);
         }
         // Quiesce and hand off, so `finish` returns only the close wave.
@@ -1043,7 +1049,8 @@ mod tests {
     /// through the run retries at the cadence, not on every batch: the
     /// checkpoint that lands carries an ordinal within one of the number
     /// of cadence points, acks advance once it does, and `shutdown` still
-    /// reports the first failure.
+    /// reports the first failure. A failed last attempt is retried at
+    /// shutdown even with no sample after it.
     #[test]
     fn failed_checkpoint_is_retried_at_the_next_cadence_point() {
         let root = temp_path("ckpt-retry");
@@ -1090,6 +1097,36 @@ mod tests {
             marker.ordinal,
             samples / cadence
         );
+        std::fs::remove_dir_all(&root).unwrap();
+
+        // The last cadence attempt fails and the connection ends by
+        // server shutdown, not a clean close: shutdown retries it, so once
+        // the directory is back the file covers every sample.
+        let cfg = NetConfig {
+            durable: Some(DurableNet {
+                path: path.clone(),
+                every_samples: 1,
+                resume: false,
+            }),
+            ..NetConfig::default()
+        };
+        let server = DpdServer::start(&builder, cfg, "127.0.0.1:0").unwrap();
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        read_handshake(&mut sock);
+        sock.write_all(&bytes).unwrap();
+        while server.stats().samples < samples {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        {
+            // The last batch's attempt has ended once its lock is free.
+            let core = lock(&server.shared.core);
+            assert!(core.ckpt_failed && core.since_ckpt == 0);
+        }
+        std::fs::create_dir_all(&root).unwrap();
+        assert!(matches!(server.shutdown(), Err(NetError::Checkpoint(_))));
+        drop(sock);
+        let (_, marker) = MultiStreamDpd::resume(&builder, &path).unwrap();
+        assert_eq!(marker.samples, samples);
         std::fs::remove_dir_all(&root).ok();
     }
 

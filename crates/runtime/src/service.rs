@@ -812,27 +812,16 @@ impl MultiStreamDpd {
 
     /// Hand every event published so far to `each`, in [`drain`] order,
     /// and drop the standing-query deltas published so far (their counts
-    /// stay in the rollups). Unlike [`drain`] it moves nothing into the
-    /// pending buffers: inline it reads the core's buffers in place and
-    /// clears them, so the server can call it after every `ingest`
-    /// without allocating.
+    /// stay in the rollups). The pending buffers are cleared, not taken,
+    /// so they keep their capacity and the server can call this after
+    /// every `ingest` without allocating.
     ///
     /// [`drain`]: MultiStreamDpd::drain
-    pub(crate) fn drain_each(&mut self, mut each: impl FnMut(&MultiStreamEvent)) {
-        self.pending_events.drain(..).for_each(|e| each(&e));
+    pub(crate) fn drain_each(&mut self, each: impl FnMut(&MultiStreamEvent)) {
+        self.pump();
+        self.pending_events.iter().for_each(each);
+        self.pending_events.clear();
         self.pending_deltas.clear();
-        match &mut self.shards {
-            Shards::Inline(core) => {
-                core.events.drain(..).for_each(|e| each(&e));
-                core.table.drain_query_deltas(&mut self.pending_deltas);
-                self.pending_deltas.clear();
-            }
-            Shards::Workers { sink, .. } => {
-                for (events, _deltas) in sink.try_iter() {
-                    events.iter().for_each(&mut each);
-                }
-            }
-        }
     }
 
     /// Standing queries registered on the service (empty unless the
